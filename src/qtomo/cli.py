@@ -24,7 +24,6 @@ import numpy as np
 
 from .states import PureQubit, StokesVector, fidelity, pure_density, stokes_of
 from .tomography import (
-    bloch_geometry,
     derive_seed,
     estimate_stokes,
     exact_stokes,
@@ -39,6 +38,12 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _U64_MAX = (1 << 64) - 1
+
+# Upper limits on work requested from the command line, checked before any
+# array is allocated: sampling holds every shot of a step in memory at once.
+MAX_SHOTS = 10_000_000
+MAX_TRIALS = 10_000
+MAX_CELLS = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -87,6 +92,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     for row in rows:
         writer.writerow([_csv_cell(v) for v in row])
     return buf.getvalue()
+
+
+def _check_count(name: str, value: int, limit: int) -> None:
+    if not 1 <= value <= limit:
+        raise ValueError(f"{name} must be between 1 and {limit}, got {value}")
 
 
 def _u64(text: str) -> int:
@@ -201,10 +211,8 @@ def _sample_row(q: PureQubit, result, trial: int, seed: int) -> list:
 
 
 def _cmd_sample(args):
-    if args.shots < 1:
-        raise ValueError("shots must be >= 1")
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("shots", args.shots, MAX_SHOTS)
+    _check_count("trials", args.trials, MAX_TRIALS)
     q = _angles(args)
     master = _resolve_seed(args)
     if args.trials == 1:
@@ -266,8 +274,8 @@ def _cmd_sample(args):
 def _cmd_sweep(args):
     if args.theta_steps < 2 or args.phi_steps < 2:
         raise ValueError("sweep needs at least 2 grid steps per axis")
-    if args.shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_count("grid cells", args.theta_steps * args.phi_steps, MAX_CELLS)
+    _check_count("shots", args.shots, MAX_SHOTS)
     master = _resolve_seed(args)
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
     phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
@@ -334,24 +342,21 @@ def _cmd_reconstruct(args):
 
 def _cmd_bloch(args):
     q = _angles(args)
-    geo = bloch_geometry(q)
+    s = exact_stokes(pure_density(q))
+    # Each step's plane pins one Bloch coordinate (x = s1, y = s2, z = s3);
+    # the three planes meet at the Bloch point.
+    point = [s.s1, s.s2, s.s3]
     report = {
         "command": "bloch",
         "inputs": {"theta": q.theta, "phi": q.phi},
         "steps": None,
-        "stokes": {"s0": 1.0, "s1": geo.point[0], "s2": geo.point[1], "s3": geo.point[2]},
+        "stokes": _stokes_json(s),
         "reconstruction": None,
-        "metrics": {
-            "plane_x": geo.plane_x,
-            "plane_y": geo.plane_y,
-            "plane_z": geo.plane_z,
-            "point": list(geo.point),
-        },
+        "metrics": {"plane_x": s.s1, "plane_y": s.s2, "plane_z": s.s3, "point": point},
         "seed": args.seed,
     }
     header = ["theta", "phi", "plane_x", "plane_y", "plane_z", "x", "y", "z"]
-    row = [q.theta, q.phi, geo.plane_x, geo.plane_y, geo.plane_z] + list(geo.point)
-    return report, header, [row]
+    return report, header, [[q.theta, q.phi, *point, *point]]
 
 
 _HANDLERS = {

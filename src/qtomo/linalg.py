@@ -2,21 +2,16 @@
 
 Everything is a pure function over read-only numpy arrays of complex128;
 nothing mutates its inputs. Only dimensions 2 and 4 exist in this problem,
-so the constructors reject anything else and the eigensolver can stay a
-simple cyclic Jacobi iteration.
+so the constructors reject anything else.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
 
 _SUPPORTED_DIMS = (2, 4)
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -78,21 +73,6 @@ def trace(a: np.ndarray) -> complex:
     return complex(np.trace(a))
 
 
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _common_dim(a, b)
-    return _freeze(a + b)
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _common_dim(a, b)
-    return _freeze(a - b)
-
-
-def scale(a: np.ndarray, c: complex) -> np.ndarray:
-    dim_of(a)
-    return _freeze(a * complex(c))
-
-
 def max_abs(a: np.ndarray) -> float:
     """Max-entry norm; the norm behind every tolerance check in this package."""
     return float(np.max(np.abs(a)))
@@ -116,54 +96,6 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return max_abs(a - a.conj().T) <= tol
 
 
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (w, v) with eigenvalues w ascending and a = v diag(w) v^dagger.
-    The matrix is symmetrized on entry, so only (near-)Hermitian input makes
-    sense. Sweeps stop once every off-diagonal magnitude drops below 1e-12,
-    capped at 100 sweeps; a handful suffice at these sizes.
-    """
-    n = dim_of(a)
-    h = [[complex(0.5 * (a[i, j] + a[j, i].conjugate())) for j in range(n)] for i in range(n)]
-    v = [[1.0 + 0.0j if i == j else 0.0j for j in range(n)] for i in range(n)]
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = max(abs(h[p][q]) for p in range(n) for q in range(p + 1, n))
-        if off < _JACOBI_OFF_TOL:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                b = abs(h[p][q])
-                if b == 0.0:
-                    continue
-                phase = h[p][q] / b
-                tau = (h[q][q].real - h[p][p].real) / (2.0 * b)
-                # Small-magnitude root of t^2 - 2 tau t - 1 = 0, written to
-                # avoid cancellation when tau is large.
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = -sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = s * phase.conjugate()
-                for k in range(n):
-                    hpk, hqk = h[p][k], h[q][k]
-                    h[p][k] = c * hpk + sp * hqk
-                    h[q][k] = c * hqk - spc * hpk
-                for k in range(n):
-                    hkp, hkq = h[k][p], h[k][q]
-                    h[k][p] = c * hkp + spc * hkq
-                    h[k][q] = c * hkq - sp * hkp
-                for k in range(n):
-                    vkp, vkq = v[k][p], v[k][q]
-                    v[k][p] = c * vkp + spc * vkq
-                    v[k][q] = c * vkq - sp * vkp
-    w = np.array([h[i][i].real for i in range(n)])
-    vecs = np.array(v, dtype=np.complex128)
-    order = np.argsort(w, kind="stable")
-    return _freeze(w[order]), _freeze(vecs[:, order])
-
-
 def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff a is Hermitian, has unit trace, and is PSD, all within tol."""
     dim_of(a)
@@ -172,5 +104,4 @@ def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return False
     if abs(trace(a) - 1.0) > tol:
         return False
-    w, _ = hermitian_eig(a)
-    return bool(w[0] >= -tol)
+    return bool(np.linalg.eigvalsh(a)[0] >= -tol)

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    cmatrix,
-    dim_of,
-    hermitian_eig,
-    is_density,
-    sub,
-)
+from .linalg import DEFAULT_TOL, cmatrix, dim_of, is_density
 
 TWO_PI = 2.0 * math.pi
 
@@ -142,5 +135,4 @@ def trace_distance(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> fl
     """
     _require_density(a, 2, tol)
     _require_density(b, 2, tol)
-    w, _ = hermitian_eig(sub(a, b))
-    return 0.5 * float(np.sum(np.abs(w)))
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))

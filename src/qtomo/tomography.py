@@ -6,8 +6,12 @@ therefore reads the full Bloch vector. Steps are listed in protocol order
 (the first measures s2, the second s1, the third s3) and every step carries
 an explicit label, so nothing downstream depends on position.
 
-Finite-shot estimation draws computational-basis outcomes from the diagonal
-of the final state and averages the +-1 payoff entries of the drawn
+The appended state |0><0| kron rho and the joint unitary U_A kron U_B are
+both products, so each step's outcome distribution is the ancilla's
+distribution times the unknown qubit's, and exact readout and sampling work
+on the qubit alone; the 4x4 route in `game` is the paper's derivation and
+the tests' oracle. Finite-shot estimation draws computational-basis outcomes
+from that distribution and averages the +-1 payoff entries of the drawn
 outcomes. All randomness flows from one 64-bit master seed through a
 splitmix-style derivation, so every result is reproducible bit for bit.
 """
@@ -19,18 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import (
-    GameRun,
-    PayoffMatrix,
-    Strategy,
-    evolve,
-    initial_state,
-    payoff_exact,
-)
-from .linalg import DEFAULT_TOL, is_density
+from .game import GameRun, PayoffMatrix, Strategy, strategy_unitary
+from .linalg import DEFAULT_TOL
 from .states import (
     PureQubit,
     StokesVector,
+    _require_density,
     density_from_stokes,
     fidelity,
     pure_density,
@@ -93,20 +91,6 @@ class TomographyResult:
     trace_dist: float | None = None
 
 
-@dataclass(frozen=True)
-class BlochGeometry:
-    """Offsets of the three measurement planes and their intersection point.
-
-    Each plane pins one Bloch coordinate (x = s1, y = s2, z = s3), so any
-    order of the three measurements cuts out the same point.
-    """
-
-    plane_x: float
-    plane_y: float
-    plane_z: float
-    point: tuple[float, float, float]
-
-
 _PROTOCOL_STEPS = (
     ProtocolStep("S2", Strategy(HALF_PI, 0.0), Strategy(HALF_PI, HALF_PI), ALICE_PAYOFF, BOB_PAYOFF),
     ProtocolStep("S1", Strategy(HALF_PI, 0.0), Strategy(HALF_PI, 0.0), ALICE_PAYOFF, BOB_PAYOFF),
@@ -146,28 +130,37 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def split_total_shots(total: int) -> tuple[int, int, int]:
-    """Split one shot budget evenly over the three steps (protocol order).
+def _outcome_probabilities(rho: np.ndarray, sa: Strategy, sb: Strategy) -> np.ndarray:
+    """Probabilities of the outcomes |00>, |01>, |10>, |11> under strategies sa, sb.
 
-    The remainder goes to the final (S3) step.
+    (U_A kron U_B)(|0><0| kron rho)(U_A kron U_B)^dagger is the product of
+    U_A|0><0|U_A^dagger and U_B rho U_B^dagger, so its diagonal is the
+    ancilla's probabilities |U_A|0>|^2 times the diagonal of U_B rho U_B^dagger.
+    rho must already be a valid 2x2 density matrix.
     """
-    if total < 3:
-        raise ValueError("need at least one shot per step")
-    base, rem = divmod(total, 3)
-    return (base, base, base + rem)
+    ua = strategy_unitary(sa)
+    ub = strategy_unitary(sb)
+    ancilla = np.abs(ua[:, 0]) ** 2
+    qubit = np.diagonal(ub @ rho @ ub.conj().T).real
+    return np.clip(np.kron(ancilla, qubit), 0.0, 1.0)
+
+
+def _expected_payoff(probs: np.ndarray, p: PayoffMatrix) -> float:
+    """sum_i e_i probs[i], added in basis order as in the trace tr(P rho_f)."""
+    return float(sum(e * q for e, q in zip(p.entries(), probs)))
 
 
 def step_payoffs(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[StepPayoffs, ...]:
     """Exact payoffs of both players at each canonical step, for a given state."""
-    rho_in = initial_state(rho, tol)
+    _require_density(rho, 2, tol)
     out = []
     for step in protocol_steps():
-        run = evolve(rho_in, step.strategy_a, step.strategy_b, tol)
+        probs = _outcome_probabilities(rho, step.strategy_a, step.strategy_b)
         out.append(
             StepPayoffs(
                 label=step.label,
-                alice=payoff_exact(run, step.payoff_a),
-                bob=payoff_exact(run, step.payoff_b),
+                alice=_expected_payoff(probs, step.payoff_a),
+                bob=_expected_payoff(probs, step.payoff_b),
             )
         )
     return tuple(out)
@@ -189,14 +182,17 @@ def measurement_distribution(run: GameRun) -> np.ndarray:
 
 
 def sample_payoff(
-    run: GameRun, p: PayoffMatrix, shots: int, seed: int, label: str = ""
+    probs: np.ndarray, p: PayoffMatrix, shots: int, seed: int, label: str = ""
 ) -> SampleEstimate:
     """Monte Carlo payoff estimate from seeded computational-basis draws.
 
-    Outcomes are drawn by inverse CDF over the final-state diagonal; each draw
-    scores the payoff entry of its basis state. Entries must be exactly +-1 so
-    the mean is an average of +-1 values and the 1/sqrt(m) error bound holds.
-    Identical (run, p, shots, seed) reproduce the identical estimate.
+    probs holds the probabilities of the outcomes |00>, |01>, |10>, |11>, as
+    returned by `measurement_distribution`; entries within DEFAULT_TOL below
+    zero count as zero. Outcomes are drawn by inverse CDF over probs; each
+    draw scores the payoff entry of its basis state. Entries must be exactly
+    +-1 so the mean is an average of +-1 values and the 1/sqrt(m) error
+    bound holds. Identical (probs, p, shots, seed) reproduce the identical
+    estimate.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -204,8 +200,16 @@ def sample_payoff(
     entries = np.array(p.entries())
     if not np.all(np.abs(entries) == 1.0):
         raise ValueError("payoff entries must all be +1 or -1 for sampling")
-    probs = measurement_distribution(run)
-    cdf = np.cumsum(probs / probs.sum())
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape != (4,):
+        raise ValueError(f"expected 4 outcome probabilities, got shape {probs.shape}")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("outcome probabilities must be finite")
+    if probs.min() < -DEFAULT_TOL:
+        raise ValueError("outcome probabilities must be non-negative")
+    if abs(float(probs.sum()) - 1.0) > DEFAULT_TOL:
+        raise ValueError("outcome probabilities must sum to 1")
+    cdf = np.cumsum(np.maximum(probs, 0.0) / probs.sum())
     rng = np.random.default_rng(seed)
     draws = rng.random(shots)
     idx = np.minimum(np.searchsorted(cdf, draws, side="right"), 3)
@@ -229,13 +233,17 @@ def estimate_stokes(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     _check_seed(seed)
-    rho_in = initial_state(rho, tol)
-    estimates = []
-    for i, step in enumerate(protocol_steps()):
-        run = evolve(rho_in, step.strategy_a, step.strategy_b, tol)
-        estimates.append(
-            sample_payoff(run, step.payoff_a, shots, derive_seed(seed, i), label=step.label)
+    _require_density(rho, 2, tol)
+    estimates = [
+        sample_payoff(
+            _outcome_probabilities(rho, step.strategy_a, step.strategy_b),
+            step.payoff_a,
+            shots,
+            derive_seed(seed, i),
+            label=step.label,
         )
+        for i, step in enumerate(protocol_steps())
+    ]
     value = {e.step_label: e.value for e in estimates}
     return TomographyResult(
         stokes_est=StokesVector(1.0, value["S1"], value["S2"], value["S3"]),
@@ -252,15 +260,10 @@ def reconstruct(
     physical states never trigger this) is rescaled radially onto the sphere
     when project is True, and is an error otherwise. Returns (rho, projected).
     """
-    if abs(s.s0 - 1.0) > tol:
-        raise ValueError(f"s0 must be 1 for a normalized state, got {s.s0}")
     norm = s.bloch_norm()
-    projected = False
-    if norm > 1.0 + tol:
-        if not project:
-            raise ValueError(f"Bloch norm {norm:.6g} outside the unit ball; enable projection")
+    projected = project and norm > 1.0 + tol
+    if projected:
         s = StokesVector(s.s0, s.s1 / norm, s.s2 / norm, s.s3 / norm)
-        projected = True
     return density_from_stokes(s, tol), projected
 
 
@@ -271,7 +274,6 @@ def run_tomography(
     rho_true = pure_density(q)
     est = estimate_stokes(rho_true, shots, seed, tol)
     rho_hat, projected = reconstruct(est.stokes_est, project=True, tol=tol)
-    assert is_density(rho_hat, tol), "projected reconstruction must be a valid state"
     return TomographyResult(
         stokes_est=est.stokes_est,
         per_step=est.per_step,
@@ -281,12 +283,3 @@ def run_tomography(
         trace_dist=trace_distance(rho_true, rho_hat, tol),
     )
 
-
-def bloch_geometry(q: PureQubit, tol: float = DEFAULT_TOL) -> BlochGeometry:
-    """Measurement-plane offsets for a pure state, from the exact payoffs.
-
-    The s3-reading step confines the state to the plane z = s3, the s2 step
-    to y = s2, and the s1 step to x = s1; the intersection is the Bloch point.
-    """
-    s = exact_stokes(pure_density(q), tol)
-    return BlochGeometry(plane_x=s.s1, plane_y=s.s2, plane_z=s.s3, point=(s.s1, s.s2, s.s3))

@@ -127,6 +127,24 @@ class TestSample:
         assert code == EXIT_USAGE
         assert "shots" in err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--shots", "10000001"), ("--shots", "10000000000"), ("--trials", "10001")]
+    )
+    def test_oversized_request_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, ["sample", "--theta", "0.1", "--phi", "0", "--seed", "1", flag, value])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and flag[2:] in err
+
+    def test_limits_themselves_pass_validation(self, capsys):
+        # The bad theta is checked after shots and trials, so an error that
+        # names theta shows that both limits were accepted.
+        code, _, err = run_cli(
+            capsys, ["sample", "--theta", "4.0", "--phi", "0", "--shots", "10000000", "--trials", "10000"]
+        )
+        assert code == EXIT_USAGE
+        assert "theta" in err
+
 
 class TestSweep:
     def test_csv_contract(self, capsys, tmp_path):
@@ -160,6 +178,28 @@ class TestSweep:
     def test_grid_validation_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["sweep", "--theta-steps", "1", "--phi-steps", "3", "--seed", "1"])
         assert code == EXIT_USAGE
+
+    def test_oversized_grid_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["sweep", "--theta-steps", "100", "--phi-steps", "101", "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "grid cells" in err
+
+    def test_oversized_shots_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, ["sweep", "--shots", "10000001", "--seed", "1"])
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "shots" in err
+
+    def test_limits_themselves_pass_validation(self, capsys, monkeypatch):
+        # Shots are checked after the grid, and QTOMO_SEED after both, so an
+        # error that names the later check shows the earlier limit was accepted.
+        code, _, err = run_cli(capsys, ["sweep", "--theta-steps", "100", "--phi-steps", "100", "--shots", "0"])
+        assert code == EXIT_USAGE
+        assert "shots" in err
+        monkeypatch.setenv("QTOMO_SEED", "not-a-number")
+        code, _, err = run_cli(capsys, ["sweep", "--shots", "10000000"])
+        assert code == EXIT_USAGE
+        assert "QTOMO_SEED" in err
 
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qtomo.linalg import (
-    add,
     cmatrix,
     dagger,
-    hermitian_eig,
     identity,
     is_density,
     is_hermitian,
@@ -18,8 +16,6 @@ from qtomo.linalg import (
     kron,
     matmul,
     max_abs,
-    scale,
-    sub,
     trace,
 )
 from qtomo.states import SIGMA0, SIGMA1, SIGMA2, SIGMA3
@@ -151,21 +147,8 @@ class TestTraceAndElementwise:
         # tr((|0><0| kron m)) computed two ways
         assert abs(trace(kron(KET0, m)) - trace(m)) <= 1e-12
 
-    def test_add_zero(self):
-        m = cmatrix([[1, 2j], [3, 4]])
-        np.testing.assert_array_equal(add(m, scale(m, 0.0)), m)
-
     def test_pauli_combination_is_projector(self):
-        np.testing.assert_allclose(add(scale(I2, 0.5), scale(SIGMA3, 0.5)), KET0, atol=0)
-
-    def test_sub_self_is_zero(self):
-        np.testing.assert_array_equal(sub(SIGMA1, SIGMA1), np.zeros((2, 2)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            add(I2, I4)
-        with pytest.raises(ValueError):
-            sub(I4, I2)
+        np.testing.assert_allclose(0.5 * I2 + 0.5 * SIGMA3, KET0, atol=0)
 
 
 class TestPredicates:
@@ -185,30 +168,10 @@ class TestPredicates:
         assert not is_hermitian(cmatrix([[0, 1], [0, 0]]), 1e-12)
 
     def test_density_examples(self):
-        assert is_density(scale(I2, 0.5), 1e-9)
+        assert is_density(0.5 * I2, 1e-9)
         # trace-1 Hermitian with one eigenvalue pushed below -tol
         perturbed = cmatrix([[1.0 + 5e-9, 0.0], [0.0, -5e-9]])
         assert not is_density(perturbed, 1e-9)
         assert not is_density(cmatrix([[0.6, 0], [0, 0.6]]), 1e-9)  # trace 1.2
         assert not is_density(cmatrix([[1, 1], [0, 0]]), 1e-9)  # not Hermitian
 
-
-class TestHermitianEig:
-    def test_reconstruction_on_random_hermitian(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(60):
-            n = int(rng.choice([2, 4]))
-            m = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-            herm = cmatrix((m + m.conj().T) / 2)
-            w, v = hermitian_eig(herm)
-            rebuilt = v @ np.diag(w) @ v.conj().T
-            assert max_abs(rebuilt - herm) <= 1e-9
-            assert max_abs(v @ v.conj().T - np.eye(n)) <= 1e-9
-            assert np.all(np.diff(w) >= 0)
-            # independent oracle for the eigenvalues themselves
-            np.testing.assert_allclose(w, np.linalg.eigvalsh(herm), atol=1e-10)
-
-    def test_diagonal_input_is_fixed_point(self):
-        w, v = hermitian_eig(cmatrix(np.diag([3.0, -1.0, 0.5, 2.0])))
-        np.testing.assert_allclose(w, [-1.0, 0.5, 2.0, 3.0], atol=0)
-        np.testing.assert_allclose(np.abs(v[np.abs(v) > 0.5]), 1.0, atol=0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtomo.linalg import cmatrix, identity, max_abs, scale
+from qtomo.linalg import cmatrix, identity, max_abs
 from qtomo.states import (
     PAULIS,
     SIGMA0,
@@ -77,7 +77,7 @@ class TestPureDensity:
 
 class TestStokesOf:
     def test_maximally_mixed(self):
-        s = stokes_of(scale(I2, 0.5))
+        s = stokes_of(0.5 * I2)
         assert (s.s0, s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0, 0.0)
 
     @settings(deadline=None)
@@ -105,7 +105,7 @@ class TestDensityFromStokes:
         np.testing.assert_allclose(density_from_stokes(StokesVector(1, 0, 0, 1)), KET0, atol=0)
 
     def test_maximally_mixed(self):
-        np.testing.assert_allclose(density_from_stokes(StokesVector(1, 0, 0, 0)), scale(I2, 0.5), atol=0)
+        np.testing.assert_allclose(density_from_stokes(StokesVector(1, 0, 0, 0)), 0.5 * I2, atol=0)
 
     def test_rejects_out_of_ball(self):
         with pytest.raises(ValueError):
@@ -172,7 +172,7 @@ class TestProbabilities:
         assert probability_of(pure_density(PureQubit(math.pi / 2, 0.0)), 1) == pytest.approx(0.5)
 
     def test_maximally_mixed(self):
-        assert probability_of(scale(I2, 0.5), 0) == 0.5
+        assert probability_of(0.5 * I2, 0) == 0.5
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -193,7 +193,7 @@ class TestMetrics:
         pole = PureQubit(0.0, 0.0)
         assert fidelity(pole, KET0) == 1.0
         assert fidelity(pole, KET1) == 0.0
-        assert fidelity(pole, scale(I2, 0.5)) == 0.5
+        assert fidelity(pole, 0.5 * I2) == 0.5
 
     def test_fidelity_rejects_non_density(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state
-from qtomo.linalg import cmatrix, identity, is_density, max_abs, scale
-from qtomo.states import PureQubit, StokesVector, pure_density, stokes_of
+from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state, payoff_exact
+from qtomo.linalg import cmatrix, identity, is_density, max_abs
+from qtomo.states import PureQubit, StokesVector, density_from_stokes, pure_density, stokes_of
 from qtomo.tomography import (
     ALICE_PAYOFF,
     BOB_PAYOFF,
-    bloch_geometry,
+    _outcome_probabilities,
     derive_seed,
     estimate_stokes,
     exact_stokes,
@@ -20,11 +22,21 @@ from qtomo.tomography import (
     reconstruct,
     run_tomography,
     sample_payoff,
-    split_total_shots,
     step_payoffs,
 )
 
 HALF_PI = math.pi / 2
+
+strategies = st.builds(
+    Strategy,
+    st.floats(0.0, math.pi, allow_nan=False),
+    st.floats(0.0, 2.0 * math.pi, allow_nan=False),
+)
+bloch_points = st.tuples(
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.floats(-1.0, 1.0, allow_nan=False),
+).filter(lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= 1.0)
 
 
 def _step(label):
@@ -34,6 +46,10 @@ def _step(label):
 def _run(q, label):
     step = _step(label)
     return evolve(initial_state(pure_density(q)), step.strategy_a, step.strategy_b)
+
+
+def _probs(q, label):
+    return measurement_distribution(_run(q, label))
 
 
 class TestProtocolSteps:
@@ -63,7 +79,7 @@ class TestExactStokes:
         np.testing.assert_allclose([s.s0, s.s1, s.s2, s.s3], [1, 0, 0, 1], atol=1e-12)
 
     def test_maximally_mixed(self):
-        s = exact_stokes(scale(identity(2), 0.5))
+        s = exact_stokes(0.5 * identity(2))
         np.testing.assert_allclose([s.s0, s.s1, s.s2, s.s3], [1, 0, 0, 0], atol=1e-12)
 
     def test_agrees_with_pauli_traces_on_pure_states(self):
@@ -96,6 +112,48 @@ class TestExactStokes:
         for payoffs in step_payoffs(pure_density(PureQubit(1.2, 0.4))):
             assert payoffs.bob == -payoffs.alice
 
+    def test_rejects_non_density(self):
+        with pytest.raises(ValueError):
+            step_payoffs(cmatrix([[1, 1], [1, 1]]))
+        with pytest.raises(ValueError):
+            exact_stokes(cmatrix(np.diag([1.0, 0, 0, 0])))
+
+
+class TestBlochGeometry:
+    """The Bloch point where the three measurement planes meet is (s1, s2, s3)."""
+
+    def test_point_sits_on_the_sphere(self):
+        for theta in np.linspace(0.0, math.pi, 7):
+            for phi in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
+                s = exact_stokes(pure_density(PureQubit(float(theta), float(phi))))
+                assert abs(math.hypot(s.s1, s.s2, s.s3) - 1.0) <= 1e-12
+
+
+class TestProductFormOracle:
+    """The qubit-only hot path against the paper's 4x4 appended-state route."""
+
+    @settings(deadline=None)
+    @given(strategies, strategies, bloch_points)
+    def test_distribution_matches_appended_state(self, sa, sb, vec):
+        rho = density_from_stokes(StokesVector(1.0, *vec))
+        oracle = measurement_distribution(evolve(initial_state(rho), sa, sb))
+        assert max_abs(_outcome_probabilities(rho, sa, sb) - oracle) <= 1e-12
+
+    def test_step_payoffs_match_payoff_exact(self):
+        rng = np.random.default_rng(16)
+        states = [pure_density(PureQubit(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))) for _ in range(10)]
+        for _ in range(10):
+            vec = rng.uniform(-1, 1, 3)
+            vec *= rng.uniform(0, 1) / np.linalg.norm(vec)
+            states.append(density_from_stokes(StokesVector(1.0, *vec)))
+        for rho in states:
+            rho_in = initial_state(rho)
+            for step, pay in zip(protocol_steps(), step_payoffs(rho)):
+                run = evolve(rho_in, step.strategy_a, step.strategy_b)
+                assert pay.label == step.label
+                assert abs(pay.alice - payoff_exact(run, step.payoff_a)) <= 1e-12
+                assert abs(pay.bob - payoff_exact(run, step.payoff_b)) <= 1e-12
+
 
 class TestMeasurementDistribution:
     def test_identity_strategies_expose_the_diagonal(self):
@@ -123,24 +181,24 @@ class TestMeasurementDistribution:
 
 class TestSamplePayoff:
     def test_deterministic_outcome_at_the_pole(self):
-        run = _run(PureQubit(0.0, 0.0), "S3")
+        probs = _probs(PureQubit(0.0, 0.0), "S3")
         for seed in (0, 1, 999):
-            est = sample_payoff(run, ALICE_PAYOFF, 100, seed)
+            est = sample_payoff(probs, ALICE_PAYOFF, 100, seed)
             assert est.value == 1.0
             assert est.std_error == 0.0
 
     def test_bit_for_bit_reproducible(self):
-        run = _run(PureQubit(0.8, 1.7), "S2")
-        a = sample_payoff(run, ALICE_PAYOFF, 5000, 321, label="S2")
-        b = sample_payoff(run, ALICE_PAYOFF, 5000, 321, label="S2")
+        probs = _probs(PureQubit(0.8, 1.7), "S2")
+        a = sample_payoff(probs, ALICE_PAYOFF, 5000, 321, label="S2")
+        b = sample_payoff(probs, ALICE_PAYOFF, 5000, 321, label="S2")
         assert a == b
 
     def test_concentration_near_certain_outcome(self):
         # S2 reads sin(theta) sin(phi) = 1 here, so nearly every draw is +1.
-        run = _run(PureQubit(HALF_PI, HALF_PI), "S2")
+        probs = _probs(PureQubit(HALF_PI, HALF_PI), "S2")
         shots = 10_000
         hits = sum(
-            abs(sample_payoff(run, ALICE_PAYOFF, shots, derive_seed(31415, k)).value - 1.0)
+            abs(sample_payoff(probs, ALICE_PAYOFF, shots, derive_seed(31415, k)).value - 1.0)
             <= 5.0 / math.sqrt(shots)
             for k in range(100)
         )
@@ -149,21 +207,40 @@ class TestSamplePayoff:
     def test_std_error_bound_and_small_m(self):
         rng = np.random.default_rng(13)
         for shots in (1, 2, 3, 7, 64):
-            run = _run(PureQubit(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)), "S1")
-            est = sample_payoff(run, ALICE_PAYOFF, shots, int(rng.integers(0, 2**64, dtype=np.uint64)))
+            probs = _probs(PureQubit(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)), "S1")
+            est = sample_payoff(probs, ALICE_PAYOFF, shots, int(rng.integers(0, 2**64, dtype=np.uint64)))
             assert abs(est.value) <= 1.0
             assert 0.0 <= est.std_error <= 1.0 / math.sqrt(shots) + 1e-12
 
     def test_validation(self):
-        run = _run(PureQubit(0.3, 0.1), "S1")
+        probs = _probs(PureQubit(0.3, 0.1), "S1")
         with pytest.raises(ValueError):
-            sample_payoff(run, ALICE_PAYOFF, 0, 1)
+            sample_payoff(probs, ALICE_PAYOFF, 0, 1)
         with pytest.raises(ValueError):
-            sample_payoff(run, PayoffMatrix(2.0, -1.0, 1.0, -1.0), 10, 1)
+            sample_payoff(probs, PayoffMatrix(2.0, -1.0, 1.0, -1.0), 10, 1)
         with pytest.raises(ValueError):
-            sample_payoff(run, ALICE_PAYOFF, 10, -1)
+            sample_payoff(probs, ALICE_PAYOFF, 10, -1)
         with pytest.raises(ValueError):
-            sample_payoff(run, ALICE_PAYOFF, 10, 2**64)
+            sample_payoff(probs, ALICE_PAYOFF, 10, 2**64)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="4 outcome"):
+            sample_payoff([0.5, 0.5], ALICE_PAYOFF, 10, 1)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            sample_payoff([np.nan, 0.5, 0.5, 0.0], ALICE_PAYOFF, 10, 1)
+
+    def test_rejects_negative_entry(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_payoff([1.2, -0.2, 0.0, 0.0], ALICE_PAYOFF, 10, 1)
+        # within tol of zero counts as zero, so outcome |01> never shows
+        est = sample_payoff([1.0 + 5e-10, -5e-10, 0.0, 0.0], ALICE_PAYOFF, 100, 1)
+        assert est.value == 1.0
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            sample_payoff([0.5, 0.5, 0.5, 0.0], ALICE_PAYOFF, 10, 1)
 
 
 class TestDeriveSeed:
@@ -180,21 +257,6 @@ class TestDeriveSeed:
             derive_seed(-1, 0)
         with pytest.raises(ValueError):
             derive_seed(0, -1)
-
-
-class TestSplitTotalShots:
-    def test_examples(self):
-        assert split_total_shots(3) == (1, 1, 1)
-        assert split_total_shots(11) == (3, 3, 5)
-        assert split_total_shots(12) == (4, 4, 4)
-
-    def test_sum_preserved(self):
-        for total in range(3, 50):
-            assert sum(split_total_shots(total)) == total
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            split_total_shots(2)
 
 
 class TestEstimateStokes:
@@ -287,24 +349,38 @@ class TestRunTomography:
         assert a.trace_dist == b.trace_dist
         np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
 
+    # Per-step (label, value, std_error) of run_tomography(q, shots, 20240601),
+    # recorded from the sampler that draws rng.random(shots) and inverts the
+    # CDF of the four outcomes. A deliberate sampler change updates them.
+    SEED_PINS = {
+        ("pole", 16): [("S2", -0.375, 0.23175620272173947), ("S1", -0.125, 0.24803918541230538), ("S3", 1.0, 0.0)],
+        ("pole", 4096): [
+            ("S2", 0.02783203125, 0.015618947093504483),
+            ("S1", -0.00146484375, 0.015624983236184664),
+            ("S3", 1.0, 0.0),
+        ],
+        ("equator", 16): [("S2", 1.0, 0.0), ("S1", -0.125, 0.24803918541230538), ("S3", -0.125, 0.24803918541230538)],
+        ("equator", 4096): [
+            ("S2", 1.0, 0.0),
+            ("S1", -0.00146484375, 0.015624983236184664),
+            ("S3", 0.01611328125, 0.015622971447751712),
+        ],
+        ("generic", 16): [("S2", 0.25, 0.24206145913796356), ("S1", -0.75, 0.16535945694153692), ("S3", 0.5, 0.21650635094610965)],
+        ("generic", 4096): [
+            ("S2", 0.68798828125, 0.011339403058982008),
+            ("S1", -0.59375, 0.012572649599202864),
+            ("S3", 0.44384765625, 0.014001597792136411),
+        ],
+    }
+    PIN_STATES = {"pole": PureQubit(0.0, 0.0), "equator": PureQubit(HALF_PI, HALF_PI), "generic": PureQubit(1.1, 2.3)}
+
+    def test_seeded_values_are_pinned(self):
+        for (name, shots), expected in self.SEED_PINS.items():
+            res = run_tomography(self.PIN_STATES[name], shots, 20240601)
+            assert [(e.step_label, e.value, e.std_error) for e in res.per_step] == expected, (name, shots)
+
     def test_metrics_are_consistent(self):
         res = run_tomography(PureQubit(2.2, 1.0), 20_000, 17)
         assert 0.0 <= res.trace_dist <= 1.0
         assert res.fidelity == pytest.approx(1.0, abs=0.05)
 
-
-class TestBlochGeometry:
-    def test_equator_point(self):
-        geo = bloch_geometry(PureQubit(HALF_PI, 0.0))
-        np.testing.assert_allclose([geo.plane_x, geo.plane_y, geo.plane_z], [1, 0, 0], atol=1e-12)
-        assert geo.point == (geo.plane_x, geo.plane_y, geo.plane_z)
-
-    def test_pole_point(self):
-        geo = bloch_geometry(PureQubit(0.0, 0.0))
-        np.testing.assert_allclose(geo.point, [0, 0, 1], atol=1e-12)
-
-    def test_point_sits_on_the_sphere(self):
-        for theta in np.linspace(0.0, math.pi, 7):
-            for phi in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
-                geo = bloch_geometry(PureQubit(float(theta), float(phi)))
-                assert abs(math.hypot(*geo.point) - 1.0) <= 1e-12
