@@ -1,8 +1,12 @@
 """Single-qubit state tomography through a two-player game protocol.
 
-Exact simulation of the appended two-qubit state, strategy unitaries, and
-payoff readout; finite-shot Monte Carlo estimation of the Stokes parameters;
-density-matrix reconstruction with physicality projection; and a `qtomo` CLI.
+Exact payoff readout and finite-shot Monte Carlo estimation of the Stokes
+parameters run on the product form: each step's outcome distribution is the
+ancilla's times the unknown qubit's, so the hot path never builds a 4x4
+state. The appended two-qubit state, its evolution under the strategy
+unitaries and the closed-form payoffs in `game` are the paper's derivation
+and the test oracle. Reconstruction projects onto the Bloch ball, scores
+use Bloch-vector closed forms, and `qtomo` is the command line.
 """
 
 from .game import (
@@ -21,15 +25,11 @@ from .game import (
 from .linalg import (
     DEFAULT_TOL,
     cmatrix,
-    dagger,
-    identity,
     is_density,
     is_hermitian,
     is_unitary,
     kron,
-    matmul,
     max_abs,
-    trace,
 )
 from .states import (
     PAULIS,
@@ -87,20 +87,17 @@ __all__ = [
     "TomographyResult",
     "closed_form_coefficients",
     "cmatrix",
-    "dagger",
     "density_from_stokes",
     "derive_seed",
     "estimate_stokes",
     "evolve",
     "exact_stokes",
     "fidelity",
-    "identity",
     "initial_state",
     "is_density",
     "is_hermitian",
     "is_unitary",
     "kron",
-    "matmul",
     "max_abs",
     "measurement_distribution",
     "payoff_closed_form",
@@ -115,6 +112,5 @@ __all__ = [
     "step_payoffs",
     "stokes_of",
     "strategy_unitary",
-    "trace",
     "trace_distance",
 ]

@@ -22,10 +22,10 @@ import sys
 
 import numpy as np
 
-from .states import PureQubit, StokesVector, fidelity, pure_density, stokes_of
+from .states import PureQubit, StokesVector, pure_density, stokes_of
 from .tomography import (
+    _stokes_readout,
     derive_seed,
-    estimate_stokes,
     exact_stokes,
     protocol_steps,
     reconstruct,
@@ -158,7 +158,7 @@ def _cmd_exact(args):
     q = _angles(args)
     rho = pure_density(q)
     payoffs = step_payoffs(rho)
-    exact = exact_stokes(rho)
+    exact = _stokes_readout({p.label: p.alice for p in payoffs})
     reference = stokes_of(rho)
     residual = max(
         abs(exact.s0 - reference.s0),
@@ -285,12 +285,8 @@ def _cmd_sweep(args):
         for j, phi in enumerate(phis):
             cell_seed = derive_seed(master, i * args.phi_steps + j)
             q = PureQubit(float(theta), float(phi))
-            rho = pure_density(q)
-            exact = exact_stokes(rho)
-            est = estimate_stokes(rho, args.shots, cell_seed)
-            rho_hat, _ = reconstruct(est.stokes_est)
-            fid = fidelity(q, rho_hat)
-            s = est.stokes_est
+            result = run_tomography(q, args.shots, cell_seed)
+            exact, s, fid = result.stokes_exact, result.stokes_est, result.fidelity
             rows.append([q.theta, q.phi, exact.s1, exact.s2, exact.s3, s.s1, s.s2, s.s3, fid])
             cells.append(
                 {

@@ -17,16 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    cmatrix,
-    dagger,
-    dim_of,
-    is_density,
-    kron,
-    matmul,
-    trace,
-)
+from .linalg import DEFAULT_TOL, cmatrix, dim_of, is_density, kron
 from .states import TWO_PI, PureQubit
 
 KET0_PROJECTOR = cmatrix([[1, 0], [0, 0]])
@@ -120,8 +111,8 @@ def evolve(rho_in: np.ndarray, sa: Strategy, sb: Strategy, tol: float = DEFAULT_
     if dim_of(rho_in) != 4 or not is_density(rho_in, tol):
         raise ValueError("expected a valid 4x4 density matrix")
     u = kron(strategy_unitary(sa), strategy_unitary(sb))
-    rho_f = matmul(matmul(u, rho_in), dagger(u))
-    assert abs(trace(rho_f) - 1.0) <= tol, "unitary evolution must preserve the trace"
+    rho_f = cmatrix(u @ rho_in @ u.conj().T)
+    assert abs(complex(np.trace(rho_f)) - 1.0) <= tol, "unitary evolution must preserve the trace"
     return GameRun(rho_in=rho_in, strategy_a=sa, strategy_b=sb, rho_f=rho_f)
 
 
@@ -132,7 +123,7 @@ def payoff_operator(p: PayoffMatrix) -> np.ndarray:
 
 def payoff_exact(run: GameRun, p: PayoffMatrix) -> float:
     """Payoff tr(P rho_f); the imaginary residue must vanish numerically."""
-    val = trace(matmul(payoff_operator(p), run.rho_f))
+    val = complex(np.trace(payoff_operator(p) @ run.rho_f))
     assert abs(val.imag) < DEFAULT_TOL, "payoff of a Hermitian observable must be real"
     return val.real
 

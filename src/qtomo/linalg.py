@@ -1,8 +1,10 @@
-"""Dense complex matrix arithmetic for the fixed 2x2 and 4x4 sizes used here.
+"""Validated complex matrices of the fixed 2x2 and 4x4 sizes used here.
 
-Everything is a pure function over read-only numpy arrays of complex128;
-nothing mutates its inputs. Only dimensions 2 and 4 exist in this problem,
-so the constructors reject anything else.
+Constructors, the tensor product and the predicates behind every input
+check, as pure functions over read-only numpy arrays of complex128; nothing
+mutates its inputs. Products, adjoints and traces are plain numpy (`@`,
+`.conj().T`, `np.trace`). Only dimensions 2 and 4 exist in this problem, so
+the constructors reject anything else.
 """
 
 from __future__ import annotations
@@ -37,40 +39,11 @@ def dim_of(a: np.ndarray) -> int:
     return shape[0]
 
 
-def _common_dim(a: np.ndarray, b: np.ndarray) -> int:
-    da, db = dim_of(a), dim_of(b)
-    if da != db:
-        raise ValueError(f"dimension mismatch: {da} vs {db}")
-    return da
-
-
-def identity(dim: int) -> np.ndarray:
-    if dim not in _SUPPORTED_DIMS:
-        raise ValueError(f"unsupported dimension {dim}")
-    return _freeze(np.eye(dim, dtype=np.complex128))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _common_dim(a, b)
-    return _freeze(a @ b)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two 2x2 matrices, basis order |00>, |01>, |10>, |11>."""
     if dim_of(a) != 2 or dim_of(b) != 2:
         raise ValueError("kron takes two 2x2 operands")
     return _freeze(np.kron(a, b))
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    dim_of(a)
-    return _freeze(a.conj().T.copy())
-
-
-def trace(a: np.ndarray) -> complex:
-    dim_of(a)
-    return complex(np.trace(a))
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -102,6 +75,6 @@ def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     _check_tol(tol)
     if not is_hermitian(a, tol):
         return False
-    if abs(trace(a) - 1.0) > tol:
+    if abs(complex(np.trace(a)) - 1.0) > tol:
         return False
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)

@@ -85,15 +85,21 @@ def pure_density(q: PureQubit) -> np.ndarray:
     return cmatrix(np.outer(psi, psi.conj()))
 
 
-def stokes_of(rho: np.ndarray, tol: float = DEFAULT_TOL) -> StokesVector:
-    """Stokes parameters s_i = Re tr(sigma_i rho) of a 2x2 density matrix."""
-    _require_density(rho, 2, tol)
+def _pauli_stokes(rho: np.ndarray) -> StokesVector:
+    """s_i = Re tr(sigma_i rho), unchecked: rho must be a valid 2x2 density matrix."""
     values = []
     for sigma in PAULIS:
-        t = complex(np.trace(sigma @ rho))
+        m = sigma @ rho
+        t = complex(m[0, 0] + m[1, 1])
         assert abs(t.imag) < DEFAULT_TOL, "Pauli expectation of a density matrix must be real"
         values.append(t.real)
     return StokesVector(*values)
+
+
+def stokes_of(rho: np.ndarray, tol: float = DEFAULT_TOL) -> StokesVector:
+    """Stokes parameters s_i = Re tr(sigma_i rho) of a 2x2 density matrix."""
+    _require_density(rho, 2, tol)
+    return _pauli_stokes(rho)
 
 
 def density_from_stokes(s: StokesVector, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -118,21 +124,25 @@ def probability_of(rho: np.ndarray, i: int, tol: float = DEFAULT_TOL) -> float:
     return min(max(p.real, 0.0), 1.0)
 
 
+def _bloch_fidelity(s: StokesVector, t: StokesVector) -> float:
+    """(1 + s.t)/2, clamped to [0, 1]: the fidelity of two qubit states when one is pure."""
+    dot = s.s1 * t.s1 + s.s2 * t.s2 + s.s3 * t.s3
+    return min(max(0.5 * (1.0 + dot), 0.0), 1.0)
+
+
+def _bloch_trace_distance(s: StokesVector, t: StokesVector) -> float:
+    """|s - t|/2, the trace distance of two qubit states."""
+    return 0.5 * math.sqrt((s.s1 - t.s1) ** 2 + (s.s2 - t.s2) ** 2 + (s.s3 - t.s3) ** 2)
+
+
 def fidelity(q: PureQubit, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Overlap <psi| rho |psi> between a pure target and a density matrix."""
+    """Overlap <psi| rho |psi> between a pure target and a density matrix, as (1 + s.t)/2."""
     _require_density(rho, 2, tol)
-    psi = _amplitudes(q)
-    val = complex(np.vdot(psi, rho @ psi))
-    assert abs(val.imag) <= tol, "fidelity must be real"
-    return min(max(val.real, 0.0), 1.0)
+    return _bloch_fidelity(_pauli_stokes(rho), _pauli_stokes(pure_density(q)))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Half the absolute-eigenvalue sum of (a - b).
-
-    For qubits this equals half the Euclidean distance between the two Bloch
-    vectors.
-    """
+    """Half the trace norm of (a - b): half the Euclidean distance between the Bloch vectors."""
     _require_density(a, 2, tol)
     _require_density(b, 2, tol)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    return _bloch_trace_distance(_pauli_stokes(a), _pauli_stokes(b))

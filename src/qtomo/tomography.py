@@ -19,7 +19,7 @@ splitmix-style derivation, so every result is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,11 +28,12 @@ from .linalg import DEFAULT_TOL
 from .states import (
     PureQubit,
     StokesVector,
+    _bloch_fidelity,
+    _bloch_trace_distance,
+    _pauli_stokes,
     _require_density,
     density_from_stokes,
-    fidelity,
     pure_density,
-    trace_distance,
 )
 
 HALF_PI = math.pi / 2.0
@@ -81,7 +82,11 @@ class SampleEstimate:
 
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
-    """Output of an estimation run; reconstruction fields stay None until filled."""
+    """Output of an estimation run; reconstruction fields stay None until filled.
+
+    stokes_exact is the exact readout of the same three outcome distributions
+    the estimates were drawn from, equal bit for bit to `exact_stokes(rho)`.
+    """
 
     stokes_est: StokesVector
     per_step: tuple[SampleEstimate, ...] | None = None
@@ -89,6 +94,7 @@ class TomographyResult:
     projected: bool = False
     fidelity: float | None = None
     trace_dist: float | None = None
+    stokes_exact: StokesVector | None = None
 
 
 _PROTOCOL_STEPS = (
@@ -147,7 +153,12 @@ def _outcome_probabilities(rho: np.ndarray, sa: Strategy, sb: Strategy) -> np.nd
 
 def _expected_payoff(probs: np.ndarray, p: PayoffMatrix) -> float:
     """sum_i e_i probs[i], added in basis order as in the trace tr(P rho_f)."""
-    return float(sum(e * q for e, q in zip(p.entries(), probs)))
+    return float(sum(e * q for e, q in zip(p.entries(), probs.tolist())))
+
+
+def _stokes_readout(alice: dict[str, float]) -> StokesVector:
+    """The Stokes vector from Alice's per-step values, keyed by step label."""
+    return StokesVector(1.0, alice["S1"], alice["S2"], alice["S3"])
 
 
 def step_payoffs(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[StepPayoffs, ...]:
@@ -168,8 +179,7 @@ def step_payoffs(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[StepPayoffs
 
 def exact_stokes(rho: np.ndarray, tol: float = DEFAULT_TOL) -> StokesVector:
     """Stokes vector read off from Alice's exact payoffs over the three steps."""
-    alice = {sp.label: sp.alice for sp in step_payoffs(rho, tol)}
-    return StokesVector(1.0, alice["S1"], alice["S2"], alice["S3"])
+    return _stokes_readout({sp.label: sp.alice for sp in step_payoffs(rho, tol)})
 
 
 def measurement_distribution(run: GameRun) -> np.ndarray:
@@ -228,26 +238,25 @@ def estimate_stokes(
 ) -> TomographyResult:
     """Sample all three steps with shots each; sub-seed i drives step i.
 
-    Returns estimates only; reconstruction is a separate concern.
+    Returns the estimates and the exact readout of the distributions they
+    were drawn from; reconstruction is a separate concern.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     _check_seed(seed)
     _require_density(rho, 2, tol)
-    estimates = [
-        sample_payoff(
-            _outcome_probabilities(rho, step.strategy_a, step.strategy_b),
-            step.payoff_a,
-            shots,
-            derive_seed(seed, i),
-            label=step.label,
+    estimates = []
+    exact = {}
+    for i, step in enumerate(protocol_steps()):
+        probs = _outcome_probabilities(rho, step.strategy_a, step.strategy_b)
+        exact[step.label] = _expected_payoff(probs, step.payoff_a)
+        estimates.append(
+            sample_payoff(probs, step.payoff_a, shots, derive_seed(seed, i), label=step.label)
         )
-        for i, step in enumerate(protocol_steps())
-    ]
-    value = {e.step_label: e.value for e in estimates}
     return TomographyResult(
-        stokes_est=StokesVector(1.0, value["S1"], value["S2"], value["S3"]),
+        stokes_est=_stokes_readout({e.step_label: e.value for e in estimates}),
         per_step=tuple(estimates),
+        stokes_exact=_stokes_readout(exact),
     )
 
 
@@ -270,16 +279,21 @@ def reconstruct(
 def run_tomography(
     q: PureQubit, shots: int, seed: int, tol: float = DEFAULT_TOL
 ) -> TomographyResult:
-    """Full pipeline: estimate, reconstruct with projection, score against truth."""
+    """Full pipeline: estimate, reconstruct with projection, score against truth.
+
+    Only `estimate_stokes` checks the true state; the scores compare the
+    Bloch vectors of matrices built here, so they equal `fidelity(q, rho_hat)`
+    and `trace_distance(pure_density(q), rho_hat)` without re-checking them.
+    """
     rho_true = pure_density(q)
     est = estimate_stokes(rho_true, shots, seed, tol)
     rho_hat, projected = reconstruct(est.stokes_est, project=True, tol=tol)
-    return TomographyResult(
-        stokes_est=est.stokes_est,
-        per_step=est.per_step,
+    truth, s_hat = _pauli_stokes(rho_true), _pauli_stokes(rho_hat)
+    return replace(
+        est,
         rho_hat=rho_hat,
         projected=projected,
-        fidelity=fidelity(q, rho_hat, tol),
-        trace_dist=trace_distance(rho_true, rho_hat, tol),
+        fidelity=_bloch_fidelity(s_hat, truth),
+        trace_dist=_bloch_trace_distance(s_hat, truth),
     )
 

@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from qtomo.tomography import derive_seed
+from qtomo.states import PureQubit, pure_density
+from qtomo.tomography import derive_seed, exact_stokes, run_tomography
 
 TOP_KEYS = {"command", "inputs", "steps", "stokes", "reconstruction", "metrics", "seed"}
 
@@ -175,6 +177,23 @@ class TestSweep:
         assert len(set(seeds)) == len(seeds) == 9
         assert seeds == [derive_seed(2, k) for k in range(9)]
 
+    def test_cells_match_the_library_bit_for_bit(self, capsys):
+        report = run_json(capsys, ["sweep", "--theta-steps", "3", "--phi-steps", "3", "--shots", "256", "--seed", "8"])
+        assert len(report["steps"]) == 9
+        for idx, cell in enumerate(report["steps"]):
+            q = PureQubit(cell["theta"], cell["phi"])
+            exact = exact_stokes(pure_density(q))
+            res = run_tomography(q, 256, derive_seed(8, idx))
+            assert (cell["s1"], cell["s2"], cell["s3"]) == (exact.s1, exact.s2, exact.s3)
+            s = res.stokes_est
+            assert (cell["s1_hat"], cell["s2_hat"], cell["s3_hat"]) == (s.s1, s.s2, s.s3)
+            assert cell["fidelity"] == res.fidelity
+            assert cell["seed"] == derive_seed(8, idx)
+
+    def test_checks_each_cell_once(self, capsys, is_density_calls):
+        run_json(capsys, ["sweep", "--theta-steps", "2", "--phi-steps", "2", "--shots", "16", "--seed", "4"])
+        assert 1 <= len(is_density_calls) <= 4
+
     def test_grid_validation_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["sweep", "--theta-steps", "1", "--phi-steps", "3", "--seed", "1"])
         assert code == EXIT_USAGE
@@ -297,3 +316,24 @@ class TestOutputFile:
         assert out == ""
         report = json.loads(out_path.read_text(encoding="utf-8"))
         assert report["command"] == "exact"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# One seeded report per command in the default JSON format. A deliberate
+# change to a report regenerates its file with the same arguments plus
+# `--out tests/golden/<command>.json`.
+GOLDEN_ARGS = {
+    "exact": ["exact", "--theta", "1.234567", "--phi", "4.2", "--seed", "7"],
+    "sample": ["sample", "--theta", "0.7", "--phi", "2.1", "--shots", "16", "--seed", "42"],
+    "sweep": ["sweep", "--theta-steps", "2", "--phi-steps", "2", "--seed", "42"],
+    "reconstruct": ["reconstruct", "--s1", "0.6", "--s2", "0.8", "--s3", "0.3", "--seed", "7"],
+    "bloch": ["bloch", "--theta", "1.234567", "--phi", "4.2", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
+def test_seeded_report_matches_golden_text(capsys, command):
+    code, out, err = run_cli(capsys, GOLDEN_ARGS[command])
+    assert code == EXIT_OK, err
+    assert out == (GOLDEN / f"{command}.json").read_text(encoding="utf-8")

@@ -16,7 +16,7 @@ from qtomo.game import (
     payoff_operator,
     strategy_unitary,
 )
-from qtomo.linalg import cmatrix, identity, is_density, is_unitary, max_abs, trace
+from qtomo.linalg import cmatrix, is_density, is_unitary, max_abs
 from qtomo.states import PureQubit, pure_density
 from qtomo.tomography import ALICE_PAYOFF, BOB_PAYOFF, protocol_steps
 
@@ -42,7 +42,7 @@ class TestStrategy:
         assert Strategy(0.5, 2.0 * math.pi).alpha == 0.0
 
     def test_identity_at_zero(self):
-        np.testing.assert_array_equal(strategy_unitary(Strategy(0.0, 0.0)), identity(2))
+        np.testing.assert_array_equal(strategy_unitary(Strategy(0.0, 0.0)), np.eye(2))
 
     def test_pure_flip_at_beta_pi(self):
         expected = np.array([[0, 1], [-1, 0]], dtype=complex)
@@ -70,7 +70,7 @@ class TestInitialState:
 
     def test_maximally_mixed(self):
         np.testing.assert_allclose(
-            initial_state(0.5 * identity(2)), np.diag([0.5, 0.5, 0, 0]).astype(complex), atol=0
+            initial_state(0.5 * np.eye(2)), np.diag([0.5, 0.5, 0, 0]).astype(complex), atol=0
         )
 
     def test_rejects_non_density(self):
@@ -109,7 +109,7 @@ class TestEvolve:
         for _ in range(20):
             rho_in = initial_state(pure_density(random_pure(rng)))
             run = evolve(rho_in, random_strategy(rng), random_strategy(rng))
-            assert abs(trace(run.rho_f) - 1.0) <= 1e-12
+            assert abs(np.trace(run.rho_f) - 1.0) <= 1e-12
 
     def test_spectrum_and_hermiticity_preserved(self):
         rng = np.random.default_rng(6)
@@ -121,6 +121,11 @@ class TestEvolve:
                 np.linalg.eigvalsh(run.rho_f), np.linalg.eigvalsh(run.rho_in), atol=1e-9
             )
             assert is_density(run.rho_f, 1e-9)
+
+    def test_result_is_read_only(self):
+        run = evolve(initial_state(pure_density(PureQubit(0.7, 2.1))), Strategy(1.0), Strategy(0.5))
+        with pytest.raises(ValueError):
+            run.rho_f[0, 0] = 0.0
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):
@@ -159,7 +164,7 @@ class TestPayoffExact:
         assert payoff_exact(run, step.payoff_b) == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_operator_scores_zero(self):
-        rho_in = initial_state(0.5 * identity(2))
+        rho_in = initial_state(0.5 * np.eye(2))
         run = evolve(rho_in, Strategy(1.0, 2.0), Strategy(0.3, 0.4))
         assert payoff_exact(run, PayoffMatrix(0, 0, 0, 0)) == 0.0
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtomo.linalg import cmatrix, identity, max_abs
+from qtomo.linalg import cmatrix, max_abs
 from qtomo.states import (
     PAULIS,
     SIGMA0,
@@ -24,7 +24,7 @@ from qtomo.states import (
     trace_distance,
 )
 
-I2 = identity(2)
+I2 = np.eye(2, dtype=complex)
 KET0 = cmatrix([[1, 0], [0, 0]])
 KET1 = cmatrix([[0, 0], [0, 1]])
 
@@ -207,6 +207,19 @@ class TestMetrics:
     def test_trace_distance_rejects_wrong_dim(self):
         with pytest.raises(ValueError):
             trace_distance(KET0, cmatrix(np.diag([1.0, 0, 0, 0])))
+
+    @settings(deadline=None)
+    @given(bloch_vectors(), bloch_vectors(), angles, phases)
+    def test_closed_forms_match_the_matrix_definitions(self, va, vb, theta, phi):
+        # The old matrix routes as oracles: half the absolute eigenvalue sum
+        # of a - b, and <psi|rho|psi> from the amplitudes of the pure target.
+        a = density_from_stokes(StokesVector(1.0, *va))
+        b = density_from_stokes(StokesVector(1.0, *vb))
+        eig_distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+        assert abs(trace_distance(a, b) - eig_distance) <= 1e-12
+        psi = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
+        overlap = np.vdot(psi, b @ psi).real
+        assert abs(fidelity(PureQubit(theta, phi), b) - overlap) <= 1e-12
 
     def test_trace_distance_is_half_bloch_distance(self):
         rng = np.random.default_rng(77)

@@ -8,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state, payoff_exact
-from qtomo.linalg import cmatrix, identity, is_density, max_abs
-from qtomo.states import PureQubit, StokesVector, density_from_stokes, pure_density, stokes_of
+from qtomo.linalg import cmatrix, is_density, max_abs
+from qtomo.states import (
+    PureQubit,
+    StokesVector,
+    density_from_stokes,
+    fidelity,
+    pure_density,
+    stokes_of,
+    trace_distance,
+)
 from qtomo.tomography import (
     ALICE_PAYOFF,
     BOB_PAYOFF,
@@ -79,7 +87,7 @@ class TestExactStokes:
         np.testing.assert_allclose([s.s0, s.s1, s.s2, s.s3], [1, 0, 0, 1], atol=1e-12)
 
     def test_maximally_mixed(self):
-        s = exact_stokes(0.5 * identity(2))
+        s = exact_stokes(0.5 * np.eye(2))
         np.testing.assert_allclose([s.s0, s.s1, s.s2, s.s3], [1, 0, 0, 0], atol=1e-12)
 
     def test_agrees_with_pauli_traces_on_pure_states(self):
@@ -295,6 +303,16 @@ class TestEstimateStokes:
         bound = 4.0 / math.sqrt(n_seeds * m)
         assert np.all(np.abs(sums / n_seeds) < bound)
 
+    @settings(deadline=None, max_examples=50)
+    @given(bloch_points)
+    def test_exact_readout_is_exact_stokes(self, vec):
+        rho = density_from_stokes(StokesVector(1.0, *vec))
+        assert estimate_stokes(rho, 8, 5).stokes_exact == exact_stokes(rho)
+
+    def test_checks_the_state_once(self, is_density_calls):
+        estimate_stokes(pure_density(PureQubit(0.9, 1.7)), 16, 1)
+        assert len(is_density_calls) == 1
+
 
 class TestReconstruct:
     def test_round_trip_of_exact_stokes(self):
@@ -378,6 +396,21 @@ class TestRunTomography:
         for (name, shots), expected in self.SEED_PINS.items():
             res = run_tomography(self.PIN_STATES[name], shots, 20240601)
             assert [(e.step_label, e.value, e.std_error) for e in res.per_step] == expected, (name, shots)
+
+    def test_checks_the_true_state_once(self, is_density_calls):
+        for k, q in enumerate(self.PIN_STATES.values()):
+            before = len(is_density_calls)
+            run_tomography(q, 16, k)
+            assert len(is_density_calls) - before <= 1
+
+    def test_scores_equal_the_public_metrics(self):
+        rng = np.random.default_rng(41)
+        for k in range(30):
+            q = PureQubit(math.acos(1.0 - 2.0 * rng.random()), 2.0 * math.pi * rng.random())
+            res = run_tomography(q, (1, 16, 4096)[k % 3], derive_seed(41, k))
+            assert res.fidelity == fidelity(q, res.rho_hat)
+            assert res.trace_dist == trace_distance(pure_density(q), res.rho_hat)
+            assert res.stokes_exact == exact_stokes(pure_density(q))
 
     def test_metrics_are_consistent(self):
         res = run_tomography(PureQubit(2.2, 1.0), 20_000, 17)
