@@ -41,7 +41,6 @@ from .states import (
     StokesVector,
     density_from_stokes,
     fidelity,
-    probability_of,
     pure_density,
     stokes_of,
     trace_distance,
@@ -103,7 +102,6 @@ __all__ = [
     "payoff_closed_form",
     "payoff_exact",
     "payoff_operator",
-    "probability_of",
     "protocol_steps",
     "pure_density",
     "reconstruct",

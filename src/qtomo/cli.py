@@ -279,15 +279,13 @@ def _cmd_sweep(args):
     master = _resolve_seed(args)
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
     phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
-    rows = []
     cells = []
     for i, theta in enumerate(thetas):
         for j, phi in enumerate(phis):
             cell_seed = derive_seed(master, i * args.phi_steps + j)
             q = PureQubit(float(theta), float(phi))
             result = run_tomography(q, args.shots, cell_seed)
-            exact, s, fid = result.stokes_exact, result.stokes_est, result.fidelity
-            rows.append([q.theta, q.phi, exact.s1, exact.s2, exact.s3, s.s1, s.s2, s.s3, fid])
+            exact, s = result.stokes_exact, result.stokes_est
             cells.append(
                 {
                     "theta": q.theta,
@@ -298,7 +296,7 @@ def _cmd_sweep(args):
                     "s1_hat": s.s1,
                     "s2_hat": s.s2,
                     "s3_hat": s.s3,
-                    "fidelity": fid,
+                    "fidelity": result.fidelity,
                     "seed": cell_seed,
                 }
             )
@@ -312,12 +310,12 @@ def _cmd_sweep(args):
         "seed": master,
     }
     header = ["theta", "phi", "s1", "s2", "s3", "s1_hat", "s2_hat", "s3_hat", "fidelity"]
-    return report, header, rows
+    return report, header, [[cell[k] for k in header] for cell in cells]
 
 
 def _cmd_reconstruct(args):
     raw = StokesVector(1.0, args.s1, args.s2, args.s3)
-    rho_hat, projected = reconstruct(raw, project=True)
+    rho_hat, projected = reconstruct(raw)
     report = {
         "command": "reconstruct",
         "inputs": {"s1": args.s1, "s2": args.s2, "s3": args.s3},

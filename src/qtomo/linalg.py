@@ -2,9 +2,11 @@
 
 Constructors, the tensor product and the predicates behind every input
 check, as pure functions over read-only numpy arrays of complex128; nothing
-mutates its inputs. Products, adjoints and traces are plain numpy (`@`,
-`.conj().T`, `np.trace`). Only dimensions 2 and 4 exist in this problem, so
-the constructors reject anything else.
+mutates its inputs. DEFAULT_TOL is the package's one tolerance: only the
+three predicates take a `tol`, and every density check elsewhere goes
+through `_require_density` at DEFAULT_TOL. Products, adjoints and traces
+are plain numpy (`@`, `.conj().T`, `np.trace`). Only dimensions 2 and 4
+exist in this problem, so the constructors reject anything else.
 """
 
 from __future__ import annotations
@@ -78,3 +80,9 @@ def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if abs(complex(np.trace(a)) - 1.0) > tol:
         return False
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)
+
+
+def _require_density(rho: np.ndarray, dim: int) -> None:
+    """Raise ValueError unless rho is a valid dim x dim density matrix within DEFAULT_TOL."""
+    if dim_of(rho) != dim or not is_density(rho):
+        raise ValueError(f"expected a valid {dim}x{dim} density matrix")

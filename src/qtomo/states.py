@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, cmatrix, dim_of, is_density
+from .linalg import DEFAULT_TOL, _require_density, cmatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,11 +67,6 @@ class StokesVector:
         return math.sqrt(self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3)
 
 
-def _require_density(rho: np.ndarray, dim: int, tol: float) -> None:
-    if dim_of(rho) != dim or not is_density(rho, tol):
-        raise ValueError(f"expected a valid {dim}x{dim} density matrix")
-
-
 def _amplitudes(q: PureQubit) -> np.ndarray:
     return np.array(
         [math.cos(q.theta / 2.0), cmath.exp(1j * q.phi) * math.sin(q.theta / 2.0)],
@@ -86,42 +81,34 @@ def pure_density(q: PureQubit) -> np.ndarray:
 
 
 def _pauli_stokes(rho: np.ndarray) -> StokesVector:
-    """s_i = Re tr(sigma_i rho), unchecked: rho must be a valid 2x2 density matrix."""
+    """s_i = Re tr(sigma_i rho), unchecked: rho must be a valid 2x2 density matrix.
+
+    The imaginary part of tr(sigma_i rho) is tr(sigma_i (rho - rho^dagger))/2i,
+    at most the Hermiticity residual that the caller's density check already
+    bounds by DEFAULT_TOL, so only the real part is read.
+    """
     values = []
     for sigma in PAULIS:
         m = sigma @ rho
-        t = complex(m[0, 0] + m[1, 1])
-        assert abs(t.imag) < DEFAULT_TOL, "Pauli expectation of a density matrix must be real"
-        values.append(t.real)
+        values.append(float((m[0, 0] + m[1, 1]).real))
     return StokesVector(*values)
 
 
-def stokes_of(rho: np.ndarray, tol: float = DEFAULT_TOL) -> StokesVector:
+def stokes_of(rho: np.ndarray) -> StokesVector:
     """Stokes parameters s_i = Re tr(sigma_i rho) of a 2x2 density matrix."""
-    _require_density(rho, 2, tol)
+    _require_density(rho, 2)
     return _pauli_stokes(rho)
 
 
-def density_from_stokes(s: StokesVector, tol: float = DEFAULT_TOL) -> np.ndarray:
+def density_from_stokes(s: StokesVector) -> np.ndarray:
     """Rebuild rho = (1/2) sum_i s_i sigma_i; the input must lie in the Bloch ball."""
-    if abs(s.s0 - 1.0) > tol:
+    if abs(s.s0 - 1.0) > DEFAULT_TOL:
         raise ValueError(f"s0 must be 1 for a normalized state, got {s.s0}")
     norm = s.bloch_norm()
-    if norm > 1.0 + tol:
+    if norm > 1.0 + DEFAULT_TOL:
         raise ValueError(f"Bloch norm {norm:.6g} exceeds 1; project the vector first")
     rho = 0.5 * (s.s0 * SIGMA0 + s.s1 * SIGMA1 + s.s2 * SIGMA2 + s.s3 * SIGMA3)
     return cmatrix(rho)
-
-
-def probability_of(rho: np.ndarray, i: int, tol: float = DEFAULT_TOL) -> float:
-    """Probability tr(|i><i| rho) of measuring basis state |i>, clamped to [0, 1]."""
-    n = dim_of(rho)
-    _require_density(rho, n, tol)
-    if not 0 <= i < n:
-        raise IndexError(f"basis index {i} out of range for dimension {n}")
-    p = complex(rho[i, i])
-    assert -tol <= p.real <= 1.0 + tol and abs(p.imag) <= tol, "diagonal entry not a probability"
-    return min(max(p.real, 0.0), 1.0)
 
 
 def _bloch_fidelity(s: StokesVector, t: StokesVector) -> float:
@@ -135,14 +122,14 @@ def _bloch_trace_distance(s: StokesVector, t: StokesVector) -> float:
     return 0.5 * math.sqrt((s.s1 - t.s1) ** 2 + (s.s2 - t.s2) ** 2 + (s.s3 - t.s3) ** 2)
 
 
-def fidelity(q: PureQubit, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def fidelity(q: PureQubit, rho: np.ndarray) -> float:
     """Overlap <psi| rho |psi> between a pure target and a density matrix, as (1 + s.t)/2."""
-    _require_density(rho, 2, tol)
+    _require_density(rho, 2)
     return _bloch_fidelity(_pauli_stokes(rho), _pauli_stokes(pure_density(q)))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of (a - b): half the Euclidean distance between the Bloch vectors."""
-    _require_density(a, 2, tol)
-    _require_density(b, 2, tol)
+    _require_density(a, 2)
+    _require_density(b, 2)
     return _bloch_trace_distance(_pauli_stokes(a), _pauli_stokes(b))

@@ -24,14 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .game import GameRun, PayoffMatrix, Strategy, strategy_unitary
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _require_density
 from .states import (
     PureQubit,
     StokesVector,
     _bloch_fidelity,
     _bloch_trace_distance,
     _pauli_stokes,
-    _require_density,
     density_from_stokes,
     pure_density,
 )
@@ -148,7 +147,7 @@ def _outcome_probabilities(rho: np.ndarray, sa: Strategy, sb: Strategy) -> np.nd
     ub = strategy_unitary(sb)
     ancilla = np.abs(ua[:, 0]) ** 2
     qubit = np.diagonal(ub @ rho @ ub.conj().T).real
-    return np.clip(np.kron(ancilla, qubit), 0.0, 1.0)
+    return np.clip(np.outer(ancilla, qubit).ravel(), 0.0, 1.0)
 
 
 def _expected_payoff(probs: np.ndarray, p: PayoffMatrix) -> float:
@@ -161,9 +160,9 @@ def _stokes_readout(alice: dict[str, float]) -> StokesVector:
     return StokesVector(1.0, alice["S1"], alice["S2"], alice["S3"])
 
 
-def step_payoffs(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[StepPayoffs, ...]:
+def step_payoffs(rho: np.ndarray) -> tuple[StepPayoffs, ...]:
     """Exact payoffs of both players at each canonical step, for a given state."""
-    _require_density(rho, 2, tol)
+    _require_density(rho, 2)
     out = []
     for step in protocol_steps():
         probs = _outcome_probabilities(rho, step.strategy_a, step.strategy_b)
@@ -177,9 +176,9 @@ def step_payoffs(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[StepPayoffs
     return tuple(out)
 
 
-def exact_stokes(rho: np.ndarray, tol: float = DEFAULT_TOL) -> StokesVector:
+def exact_stokes(rho: np.ndarray) -> StokesVector:
     """Stokes vector read off from Alice's exact payoffs over the three steps."""
-    return _stokes_readout({sp.label: sp.alice for sp in step_payoffs(rho, tol)})
+    return _stokes_readout({sp.label: sp.alice for sp in step_payoffs(rho)})
 
 
 def measurement_distribution(run: GameRun) -> np.ndarray:
@@ -233,9 +232,7 @@ def sample_payoff(
     )
 
 
-def estimate_stokes(
-    rho: np.ndarray, shots: int, seed: int, tol: float = DEFAULT_TOL
-) -> TomographyResult:
+def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
     """Sample all three steps with shots each; sub-seed i drives step i.
 
     Returns the estimates and the exact readout of the distributions they
@@ -244,7 +241,7 @@ def estimate_stokes(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     _check_seed(seed)
-    _require_density(rho, 2, tol)
+    _require_density(rho, 2)
     estimates = []
     exact = {}
     for i, step in enumerate(protocol_steps()):
@@ -260,25 +257,21 @@ def estimate_stokes(
     )
 
 
-def reconstruct(
-    s: StokesVector, project: bool = True, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, bool]:
+def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
     """Rebuild a density matrix from Stokes parameters.
 
-    A Bloch vector outside the unit ball (beyond tol, so exact round trips of
-    physical states never trigger this) is rescaled radially onto the sphere
-    when project is True, and is an error otherwise. Returns (rho, projected).
+    A Bloch vector outside the unit ball (beyond DEFAULT_TOL, so exact round
+    trips of physical states never trigger this) is rescaled radially onto
+    the sphere. Returns (rho, projected).
     """
     norm = s.bloch_norm()
-    projected = project and norm > 1.0 + tol
+    projected = norm > 1.0 + DEFAULT_TOL
     if projected:
         s = StokesVector(s.s0, s.s1 / norm, s.s2 / norm, s.s3 / norm)
-    return density_from_stokes(s, tol), projected
+    return density_from_stokes(s), projected
 
 
-def run_tomography(
-    q: PureQubit, shots: int, seed: int, tol: float = DEFAULT_TOL
-) -> TomographyResult:
+def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:
     """Full pipeline: estimate, reconstruct with projection, score against truth.
 
     Only `estimate_stokes` checks the true state; the scores compare the
@@ -286,8 +279,8 @@ def run_tomography(
     and `trace_distance(pure_density(q), rho_hat)` without re-checking them.
     """
     rho_true = pure_density(q)
-    est = estimate_stokes(rho_true, shots, seed, tol)
-    rho_hat, projected = reconstruct(est.stokes_est, project=True, tol=tol)
+    est = estimate_stokes(rho_true, shots, seed)
+    rho_hat, projected = reconstruct(est.stokes_est)
     truth, s_hat = _pauli_stokes(rho_true), _pauli_stokes(rho_hat)
     return replace(
         est,

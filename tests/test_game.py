@@ -168,6 +168,16 @@ class TestPayoffExact:
         run = evolve(rho_in, Strategy(1.0, 2.0), Strategy(0.3, 0.4))
         assert payoff_exact(run, PayoffMatrix(0, 0, 0, 0)) == 0.0
 
+    def test_large_entries_scale_an_accepted_residue(self):
+        # The input passes is_density with a 1e-9 Hermiticity residue; payoff
+        # entries of order 1e3 scale the imaginary part of tr(P rho_f) to
+        # ~1e-6, and the real part is still the payoff.
+        rho = cmatrix([[0.5, 0.5 + 5e-10j], [0.5 + 5e-10j, 0.5]])
+        sa, sb = Strategy(0.3, 0.2), Strategy(1.0, 0.7)
+        p = PayoffMatrix(1e3, -1e3, 5e2, 7e2)
+        value = payoff_exact(evolve(initial_state(rho), sa, sb), p)
+        assert value == pytest.approx(payoff_closed_form(p, sa, sb, PureQubit(HALF_PI, 0.0)), abs=1e-9)
+
 
 class TestClosedForm:
     def test_balanced_coefficients(self):

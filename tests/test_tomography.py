@@ -333,10 +333,6 @@ class TestReconstruct:
         assert not projected
         np.testing.assert_allclose(rho_hat, 0.5 * np.eye(2), atol=0)
 
-    def test_out_of_ball_rejected_without_projection(self):
-        with pytest.raises(ValueError):
-            reconstruct(StokesVector(1.0, 1.2, 0.0, 0.0), project=False)
-
     def test_unnormalized_s0_rejected(self):
         with pytest.raises(ValueError):
             reconstruct(StokesVector(0.5, 0.0, 0.0, 0.0))
