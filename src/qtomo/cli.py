@@ -39,8 +39,8 @@ EXIT_IO = 3
 
 _U64_MAX = (1 << 64) - 1
 
-# Upper limits on work requested from the command line, checked before any
-# array is allocated: sampling holds every shot of a step in memory at once.
+# Documented upper limits on work requested from the command line, checked
+# before any work starts. A step's sampling costs the same at any shot count.
 MAX_SHOTS = 10_000_000
 MAX_TRIALS = 10_000
 MAX_CELLS = 10_000

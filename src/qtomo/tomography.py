@@ -10,10 +10,10 @@ The appended state |0><0| kron rho and the joint unitary U_A kron U_B are
 both products, so each step's outcome distribution is the ancilla's
 distribution times the unknown qubit's, and exact readout and sampling work
 on the qubit alone; the 4x4 route in `game` is the paper's derivation and
-the tests' oracle. Finite-shot estimation draws computational-basis outcomes
-from that distribution and averages the +-1 payoff entries of the drawn
-outcomes. All randomness flows from one 64-bit master seed through a
-splitmix-style derivation, so every result is reproducible bit for bit.
+the tests' oracle. Each shot pays Alice +-1, so a step's m-shot estimate
+(2k - m)/m needs one draw of the count k ~ Binomial(m, P(+1)) of +1 shots.
+All randomness flows from one 64-bit master seed through a splitmix-style
+derivation, so every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -135,17 +135,22 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def _outcome_probabilities(rho: np.ndarray, sa: Strategy, sb: Strategy) -> np.ndarray:
-    """Probabilities of the outcomes |00>, |01>, |10>, |11> under strategies sa, sb.
+def _factors(sa: Strategy, sb: Strategy) -> tuple[np.ndarray, np.ndarray]:
+    """The ancilla's probabilities |U_A|0>|^2 and U_B; built once for each fixed protocol step."""
+    return np.abs(strategy_unitary(sa)[:, 0]) ** 2, strategy_unitary(sb)
+
+
+_STEP_FACTORS = tuple(_factors(step.strategy_a, step.strategy_b) for step in _PROTOCOL_STEPS)
+
+
+def _outcome_probabilities(rho: np.ndarray, ancilla: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Probabilities of the outcomes |00>, |01>, |10>, |11> for the factors of `_factors`.
 
     (U_A kron U_B)(|0><0| kron rho)(U_A kron U_B)^dagger is the product of
     U_A|0><0|U_A^dagger and U_B rho U_B^dagger, so its diagonal is the
     ancilla's probabilities |U_A|0>|^2 times the diagonal of U_B rho U_B^dagger.
     rho must already be a valid 2x2 density matrix.
     """
-    ua = strategy_unitary(sa)
-    ub = strategy_unitary(sb)
-    ancilla = np.abs(ua[:, 0]) ** 2
     qubit = np.diagonal(ub @ rho @ ub.conj().T).real
     return np.clip(np.outer(ancilla, qubit).ravel(), 0.0, 1.0)
 
@@ -164,8 +169,8 @@ def step_payoffs(rho: np.ndarray) -> tuple[StepPayoffs, ...]:
     """Exact payoffs of both players at each canonical step, for a given state."""
     _require_density(rho, 2)
     out = []
-    for step in protocol_steps():
-        probs = _outcome_probabilities(rho, step.strategy_a, step.strategy_b)
+    for step, factors in zip(_PROTOCOL_STEPS, _STEP_FACTORS):
+        probs = _outcome_probabilities(rho, *factors)
         out.append(
             StepPayoffs(
                 label=step.label,
@@ -182,26 +187,24 @@ def exact_stokes(rho: np.ndarray) -> StokesVector:
 
 
 def measurement_distribution(run: GameRun) -> np.ndarray:
-    """Computational-basis outcome probabilities: the clamped diagonal of rho_f."""
-    diag = np.diagonal(run.rho_f)
-    assert float(np.max(np.abs(diag.imag))) <= DEFAULT_TOL, "density diagonal must be real"
-    probs = np.clip(diag.real, 0.0, 1.0)
-    assert abs(float(probs.sum()) - 1.0) <= DEFAULT_TOL, "outcome probabilities must sum to 1"
-    return probs
+    """Computational-basis outcome probabilities: the clamped real diagonal of rho_f.
+
+    The imaginary part is rounding plus rho_in's Hermiticity residue, which
+    `evolve`'s check bounds by DEFAULT_TOL; `sample_payoff` checks the sum.
+    """
+    return np.clip(np.diagonal(run.rho_f).real, 0.0, 1.0)
 
 
 def sample_payoff(
     probs: np.ndarray, p: PayoffMatrix, shots: int, seed: int, label: str = ""
 ) -> SampleEstimate:
-    """Monte Carlo payoff estimate from seeded computational-basis draws.
+    """Monte Carlo payoff estimate from m = shots seeded computational-basis draws.
 
     probs holds the probabilities of the outcomes |00>, |01>, |10>, |11>, as
     returned by `measurement_distribution`; entries within DEFAULT_TOL below
-    zero count as zero. Outcomes are drawn by inverse CDF over probs; each
-    draw scores the payoff entry of its basis state. Entries must be exactly
-    +-1 so the mean is an average of +-1 values and the 1/sqrt(m) error
-    bound holds. Identical (probs, p, shots, seed) reproduce the identical
-    estimate.
+    zero count as zero. Payoff entries must be exactly +-1, so the mean is
+    (2k - m)/m for k ~ Binomial(m, p_plus) +1 draws: one draw at any m.
+    Identical (probs, p, shots, seed) reproduce the identical estimate.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -218,15 +221,13 @@ def sample_payoff(
         raise ValueError("outcome probabilities must be non-negative")
     if abs(float(probs.sum()) - 1.0) > DEFAULT_TOL:
         raise ValueError("outcome probabilities must sum to 1")
-    cdf = np.cumsum(np.maximum(probs, 0.0) / probs.sum())
-    rng = np.random.default_rng(seed)
-    draws = rng.random(shots)
-    idx = np.minimum(np.searchsorted(cdf, draws, side="right"), 3)
-    z = entries[idx]
+    # Rounding can put the normalized sum just above 1, which binomial rejects.
+    p_plus = min(float(np.maximum(probs, 0.0)[entries == 1.0].sum() / probs.sum()), 1.0)
+    k = int(np.random.default_rng(seed).binomial(shots, p_plus))
     return SampleEstimate(
-        value=float(z.mean()),
+        value=(2 * k - shots) / shots,
         shots=shots,
-        std_error=float(z.std() / math.sqrt(shots)),
+        std_error=2.0 * math.sqrt(k * (shots - k)) / shots**1.5,
         seed=int(seed),
         step_label=label,
     )
@@ -238,14 +239,11 @@ def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
     Returns the estimates and the exact readout of the distributions they
     were drawn from; reconstruction is a separate concern.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    _check_seed(seed)
     _require_density(rho, 2)
     estimates = []
     exact = {}
-    for i, step in enumerate(protocol_steps()):
-        probs = _outcome_probabilities(rho, step.strategy_a, step.strategy_b)
+    for i, (step, factors) in enumerate(zip(_PROTOCOL_STEPS, _STEP_FACTORS)):
+        probs = _outcome_probabilities(rho, *factors)
         exact[step.label] = _expected_payoff(probs, step.payoff_a)
         estimates.append(
             sample_payoff(probs, step.payoff_a, shots, derive_seed(seed, i), label=step.label)
@@ -262,9 +260,11 @@ def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
 
     A Bloch vector outside the unit ball (beyond DEFAULT_TOL, so exact round
     trips of physical states never trigger this) is rescaled radially onto
-    the sphere. Returns (rho, projected).
+    the sphere; a norm that overflows raises ValueError. Returns (rho, projected).
     """
     norm = s.bloch_norm()
+    if not math.isfinite(norm):
+        raise ValueError("Bloch vector norm overflows")
     projected = norm > 1.0 + DEFAULT_TOL
     if projected:
         s = StokesVector(s.s0, s.s1 / norm, s.s2 / norm, s.s3 / norm)

@@ -1,6 +1,8 @@
 """Tests for the package's public name list and signatures."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import qtomo
 
@@ -20,3 +22,10 @@ def test_only_the_linalg_predicates_take_a_tolerance():
             takes_tol.add(name)
     assert takes_tol == {"is_density", "is_hermitian", "is_unitary"}
     assert list(inspect.signature(qtomo.reconstruct).parameters) == ["s"]
+
+
+def test_src_has_no_assert_statements():
+    # Checks in the package must raise; `python -O` strips assert statements.
+    for path in sorted(Path(qtomo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

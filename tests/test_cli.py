@@ -257,6 +257,12 @@ class TestReconstructCommand:
         code, _, _ = run_cli(capsys, ["reconstruct", "--s1", "nan", "--s2", "0", "--s3", "0"])
         assert code == EXIT_USAGE
 
+    def test_overflowing_norm_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["reconstruct", "--s1", "1e200", "--s2", "0", "--s3", "0"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestBloch:
     def test_planes_on_equator(self, capsys):

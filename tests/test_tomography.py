@@ -1,12 +1,15 @@
 """Tests for the protocol steps, the shot sampler, and reconstruction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qtomo.game
+import qtomo.tomography
 from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state, payoff_exact
 from qtomo.linalg import cmatrix, is_density, max_abs
 from qtomo.states import (
@@ -21,6 +24,7 @@ from qtomo.states import (
 from qtomo.tomography import (
     ALICE_PAYOFF,
     BOB_PAYOFF,
+    _factors,
     _outcome_probabilities,
     derive_seed,
     estimate_stokes,
@@ -145,7 +149,7 @@ class TestProductFormOracle:
     def test_distribution_matches_appended_state(self, sa, sb, vec):
         rho = density_from_stokes(StokesVector(1.0, *vec))
         oracle = measurement_distribution(evolve(initial_state(rho), sa, sb))
-        assert max_abs(_outcome_probabilities(rho, sa, sb) - oracle) <= 1e-12
+        assert max_abs(_outcome_probabilities(rho, *_factors(sa, sb)) - oracle) <= 1e-12
 
     def test_step_payoffs_match_payoff_exact(self):
         rng = np.random.default_rng(16)
@@ -173,6 +177,14 @@ class TestMeasurementDistribution:
     def test_s3_step_on_equator(self):
         run = _run(PureQubit(HALF_PI, 0.0), "S3")
         np.testing.assert_allclose(measurement_distribution(run), [0.5, 0.5, 0.0, 0.0], atol=1e-12)
+
+    def test_reads_the_real_part_of_a_checked_state(self):
+        # A 5e-10 Hermiticity residue passes the density check; evolution
+        # turns it into a 1.5e-9 imaginary part on the diagonal of rho_f.
+        rho = cmatrix(np.eye(4) / 4 + 1j * 5e-10 * (np.ones((4, 4)) - np.eye(4)))
+        assert is_density(rho)
+        run = evolve(rho, Strategy(HALF_PI, 0.0), Strategy(HALF_PI, 0.0))
+        np.testing.assert_allclose(measurement_distribution(run), [0.25] * 4, atol=1e-12)
 
     def test_probabilities_are_normalized(self):
         rng = np.random.default_rng(12)
@@ -249,6 +261,69 @@ class TestSamplePayoff:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum to 1"):
             sample_payoff([0.5, 0.5, 0.5, 0.0], ALICE_PAYOFF, 10, 1)
+
+    def test_memory_does_not_grow_with_shots(self):
+        probs = _probs(PureQubit(1.1, 2.3), "S1")
+        sample_payoff(probs, ALICE_PAYOFF, 1, 7)  # the first draw imports numpy's generator modules
+        tracemalloc.start()
+        try:
+            sample_payoff(probs, ALICE_PAYOFF, 1_000_000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def _inverse_cdf_count(probs, shots, seed):
+    """Reference: draw each shot by inverse CDF over the four outcomes; count the +1 payoffs."""
+    cdf = np.cumsum(np.maximum(probs, 0.0) / probs.sum())
+    idx = np.minimum(np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right"), 3)
+    return int(np.count_nonzero(np.array(ALICE_PAYOFF.entries())[idx] == 1.0))
+
+
+def _sample_payoff_count(probs, shots, seed):
+    return round((sample_payoff(probs, ALICE_PAYOFF, shots, seed).value + 1.0) * shots / 2.0)
+
+
+class TestCountSamplerEquivalence:
+    """The count draw and the per-shot reference against the exact binomial law.
+
+    Over N seeds derive_seed(77, i), each sampler's +1 counts k are compared
+    with the Binomial(m, p_plus) pmf by Pearson's chi-square, adjacent bins
+    merged until each expects at least 5 counts. CHI2_CRITICAL holds the
+    0.999 quantile of the chi-square law for each case's degrees of freedom.
+    """
+
+    N = 4000
+    CHI2_CRITICAL = {4: 18.467, 11: 31.264, 19: 43.820}
+    CASES = {
+        "four outcomes": (lambda: np.array([0.1, 0.2, 0.3, 0.4]), 16),
+        "near certain": (lambda: np.array([0.97, 0.01, 0.01, 0.01]), 32),
+        "generic S1 step": (lambda: _probs(PureQubit(1.1, 2.3), "S1"), 64),
+    }
+
+    def _chi_square(self, counts, m, p):
+        observed = np.bincount(counts, minlength=m + 1)
+        bins, o_acc, e_acc = [], 0, 0.0
+        for k in range(m + 1):
+            o_acc += int(observed[k])
+            e_acc += self.N * math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
+            if e_acc >= 5.0:
+                bins.append([o_acc, e_acc])
+                o_acc, e_acc = 0, 0.0
+        bins[-1][0] += o_acc
+        bins[-1][1] += e_acc
+        return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("draw", [_sample_payoff_count, _inverse_cdf_count], ids=["count", "reference"])
+    def test_counts_follow_the_binomial_law(self, case, draw):
+        make_probs, m = self.CASES[case]
+        probs = make_probs()
+        p_plus = float((probs[0] + probs[2]) / probs.sum())
+        counts = [draw(probs, m, derive_seed(77, i)) for i in range(self.N)]
+        stat, dof = self._chi_square(counts, m, p_plus)
+        assert stat <= self.CHI2_CRITICAL[dof], (case, stat, dof)
 
 
 class TestDeriveSeed:
@@ -333,6 +408,10 @@ class TestReconstruct:
         assert not projected
         np.testing.assert_allclose(rho_hat, 0.5 * np.eye(2), atol=0)
 
+    def test_overflowing_norm_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            reconstruct(StokesVector(1.0, 1e200, 0.0, 0.0))
+
     def test_unnormalized_s0_rejected(self):
         with pytest.raises(ValueError):
             reconstruct(StokesVector(0.5, 0.0, 0.0, 0.0))
@@ -364,26 +443,26 @@ class TestRunTomography:
         np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
 
     # Per-step (label, value, std_error) of run_tomography(q, shots, 20240601),
-    # recorded from the sampler that draws rng.random(shots) and inverts the
-    # CDF of the four outcomes. A deliberate sampler change updates them.
+    # recorded from the count sampler, one binomial draw per step. A
+    # deliberate sampler change updates them.
     SEED_PINS = {
-        ("pole", 16): [("S2", -0.375, 0.23175620272173947), ("S1", -0.125, 0.24803918541230538), ("S3", 1.0, 0.0)],
+        ("pole", 16): [("S2", 0.0, 0.25), ("S1", 0.0, 0.25), ("S3", 1.0, 0.0)],
         ("pole", 4096): [
-            ("S2", 0.02783203125, 0.015618947093504483),
-            ("S1", -0.00146484375, 0.015624983236184664),
+            ("S2", 0.00146484375, 0.015624983236184664),
+            ("S1", -0.01416015625, 0.015623433436897658),
             ("S3", 1.0, 0.0),
         ],
-        ("equator", 16): [("S2", 1.0, 0.0), ("S1", -0.125, 0.24803918541230538), ("S3", -0.125, 0.24803918541230538)],
+        ("equator", 16): [("S2", 1.0, 0.0), ("S1", 0.0, 0.25), ("S3", 0.25, 0.24206145913796356)],
         ("equator", 4096): [
             ("S2", 1.0, 0.0),
-            ("S1", -0.00146484375, 0.015624983236184664),
-            ("S3", 0.01611328125, 0.015622971447751712),
+            ("S1", 0.01416015625, 0.015623433436897658),
+            ("S3", 0.01123046875, 0.015624014629645504),
         ],
-        ("generic", 16): [("S2", 0.25, 0.24206145913796356), ("S1", -0.75, 0.16535945694153692), ("S3", 0.5, 0.21650635094610965)],
+        ("generic", 16): [("S2", 0.75, 0.16535945694153692), ("S1", -0.625, 0.19515618744994995), ("S3", 0.75, 0.16535945694153692)],
         ("generic", 4096): [
-            ("S2", 0.68798828125, 0.011339403058982008),
-            ("S1", -0.59375, 0.012572649599202864),
-            ("S3", 0.44384765625, 0.014001597792136411),
+            ("S2", 0.6650390625, 0.011668883959849706),
+            ("S1", -0.58251953125, 0.012700261013560643),
+            ("S3", 0.46337890625, 0.013846253911208993),
         ],
     }
     PIN_STATES = {"pole": PureQubit(0.0, 0.0), "equator": PureQubit(HALF_PI, HALF_PI), "generic": PureQubit(1.1, 2.3)}
@@ -398,6 +477,19 @@ class TestRunTomography:
             before = len(is_density_calls)
             run_tomography(q, 16, k)
             assert len(is_density_calls) - before <= 1
+
+    def test_builds_no_strategy_unitary(self, monkeypatch):
+        calls = []
+        original = qtomo.game.strategy_unitary
+
+        def counting(s):
+            calls.append(s)
+            return original(s)
+
+        for mod in (qtomo.game, qtomo.tomography):
+            monkeypatch.setattr(mod, "strategy_unitary", counting)
+        run_tomography(PureQubit(1.1, 2.3), 16, 1)
+        assert calls == []
 
     def test_scores_equal_the_public_metrics(self):
         rng = np.random.default_rng(41)
