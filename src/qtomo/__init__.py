@@ -1,9 +1,9 @@
 """Single-qubit state tomography through a two-player game protocol.
 
-Exact payoff readout and finite-shot Monte Carlo estimation of the Stokes
-parameters run on the product form: each step's outcome distribution is the
-ancilla's times the unknown qubit's, so the hot path never builds a 4x4
-state. The appended two-qubit state, its evolution under the strategy
+Exact readout and finite-shot estimation of the Stokes parameters run through
+one 3x4 instrument matrix A, derived at import from the protocol steps: each
+step pays Alice +1 with probability A (1, s1, s2, s3), so the hot path never
+builds a 4x4 state. The appended two-qubit state, its evolution under the strategy
 unitaries and the closed-form payoffs in `game` are the paper's derivation
 and the test oracle. Reconstruction projects onto the Bloch ball, scores
 use Bloch-vector closed forms, and `qtomo` is the command line.

@@ -6,26 +6,27 @@ therefore reads the full Bloch vector. Steps are listed in protocol order
 (the first measures s2, the second s1, the third s3) and every step carries
 an explicit label, so nothing downstream depends on position.
 
-The appended state |0><0| kron rho and the joint unitary U_A kron U_B are
-both products, so each step's outcome distribution is the ancilla's
-distribution times the unknown qubit's, and exact readout and sampling work
-on the qubit alone; the 4x4 route in `game` is the paper's derivation and
-the tests' oracle. Each shot pays Alice +-1, so a step's m-shot estimate
-(2k - m)/m needs one draw of the count k ~ Binomial(m, P(+1)) of +1 shots.
-All randomness flows from one 64-bit master seed through a splitmix-style
-derivation, so every result is reproducible bit for bit.
+Step k pays Alice +1 with probability P(+1) = a_k . (1, s1, s2, s3); the rows
+a_k, derived at import from the steps' strategies and payoffs, form the 3x4
+instrument matrix, so no 4x4 state is built (the 4x4 route in `game` is the
+paper's derivation and the tests' oracle). A step's m-shot estimate
+(2k - m)/m needs one draw of the count k ~ Binomial(m, P(+1)) of +1 shots,
+and all randomness flows from one 64-bit master seed through a
+splitmix-style derivation, so every result is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .game import GameRun, PayoffMatrix, Strategy, strategy_unitary
-from .linalg import DEFAULT_TOL, _require_density
+from .linalg import DEFAULT_TOL
 from .states import (
+    PAULIS,
     PureQubit,
     StokesVector,
     _bloch_fidelity,
@@ -33,6 +34,7 @@ from .states import (
     _pauli_stokes,
     density_from_stokes,
     pure_density,
+    stokes_of,
 )
 
 HALF_PI = math.pi / 2.0
@@ -52,7 +54,6 @@ class ProtocolStep:
     strategy_a: Strategy
     strategy_b: Strategy
     payoff_a: PayoffMatrix
-    payoff_b: PayoffMatrix
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ class SampleEstimate:
 class TomographyResult:
     """Output of an estimation run; reconstruction fields stay None until filled.
 
-    stokes_exact is the exact readout of the same three outcome distributions
-    the estimates were drawn from, equal bit for bit to `exact_stokes(rho)`.
+    stokes_exact is the exact readout of the same three P(+1) values the
+    estimates were drawn from, equal bit for bit to `exact_stokes(rho)`.
     """
 
     stokes_est: StokesVector
@@ -97,9 +98,9 @@ class TomographyResult:
 
 
 _PROTOCOL_STEPS = (
-    ProtocolStep("S2", Strategy(HALF_PI, 0.0), Strategy(HALF_PI, HALF_PI), ALICE_PAYOFF, BOB_PAYOFF),
-    ProtocolStep("S1", Strategy(HALF_PI, 0.0), Strategy(HALF_PI, 0.0), ALICE_PAYOFF, BOB_PAYOFF),
-    ProtocolStep("S3", Strategy(0.0, 0.0), Strategy(0.0, 0.0), ALICE_PAYOFF, BOB_PAYOFF),
+    ProtocolStep("S2", Strategy(HALF_PI, 0.0), Strategy(HALF_PI, HALF_PI), ALICE_PAYOFF),
+    ProtocolStep("S1", Strategy(HALF_PI, 0.0), Strategy(HALF_PI, 0.0), ALICE_PAYOFF),
+    ProtocolStep("S3", Strategy(0.0, 0.0), Strategy(0.0, 0.0), ALICE_PAYOFF),
 )
 
 
@@ -118,7 +119,8 @@ def derive_seed(master: int, index: int) -> int:
     yield distinct sub-seeds. Used for per-step, per-trial, and per-cell
     seeding so that parallel evaluations never share generator state.
     """
-    _check_seed(master)
+    master = _check_seed(master)
+    index = operator.index(index)
     if index < 0:
         raise ValueError("index must be non-negative")
     x = (master + (index + 1) * _GOLDEN) & _MASK64
@@ -130,34 +132,54 @@ def derive_seed(master: int, index: int) -> int:
     return x
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= int(seed) <= _MASK64:
+def _check_seed(seed: int) -> int:
+    """The seed as a Python int; raises unless it is an unsigned 64-bit integer."""
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
         raise ValueError("seed must be an unsigned 64-bit integer")
+    return seed
 
 
-def _factors(sa: Strategy, sb: Strategy) -> tuple[np.ndarray, np.ndarray]:
-    """The ancilla's probabilities |U_A|0>|^2 and U_B; built once for each fixed protocol step."""
-    return np.abs(strategy_unitary(sa)[:, 0]) ** 2, strategy_unitary(sb)
+def _check_shots(shots: int) -> int:
+    """The shot count as a Python int; raises unless it is an integer >= 1."""
+    shots = operator.index(shots)
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    return shots
 
 
-_STEP_FACTORS = tuple(_factors(step.strategy_a, step.strategy_b) for step in _PROTOCOL_STEPS)
+def _plus_outcomes(p: PayoffMatrix) -> np.ndarray:
+    """Mask of the outcomes |00>, |01>, |10>, |11> that pay +1; every entry must be +-1."""
+    entries = np.array(p.entries())
+    if not np.all(np.abs(entries) == 1.0):
+        raise ValueError("payoff entries must all be +1 or -1")
+    return entries == 1.0
 
 
-def _outcome_probabilities(rho: np.ndarray, ancilla: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """Probabilities of the outcomes |00>, |01>, |10>, |11> for the factors of `_factors`.
+def _instrument_row(sa: Strategy, sb: Strategy, p: PayoffMatrix) -> np.ndarray:
+    """The row a with P(+1) = a . (1, s1, s2, s3) for one strategy pair and +-1 payoff.
 
-    (U_A kron U_B)(|0><0| kron rho)(U_A kron U_B)^dagger is the product of
-    U_A|0><0|U_A^dagger and U_B rho U_B^dagger, so its diagonal is the
-    ancilla's probabilities |U_A|0>|^2 times the diagonal of U_B rho U_B^dagger.
-    rho must already be a valid 2x2 density matrix.
+    Outcome |ij> has probability |U_A|0>|^2_i times entry j of the diagonal of
+    U_B rho U_B^dagger = (1/2) sum_k s_k U_B sigma_k U_B^dagger; summing over
+    the outcomes that pay +1 gives a. Stacked over the protocol steps the rows
+    form the measurement matrix of linear-inversion tomography (James, Kwiat,
+    Munro & White, PRA 64, 052312 (2001)).
     """
-    qubit = np.diagonal(ub @ rho @ ub.conj().T).real
-    return np.clip(np.outer(ancilla, qubit).ravel(), 0.0, 1.0)
+    plus = _plus_outcomes(p).reshape(2, 2)
+    ancilla = np.abs(strategy_unitary(sa)[:, 0]) ** 2
+    ub = strategy_unitary(sb)
+    qubit = np.array([np.diagonal(ub @ sigma @ ub.conj().T).real for sigma in PAULIS])
+    return 0.5 * qubit @ (ancilla @ plus)
 
 
-def _expected_payoff(probs: np.ndarray, p: PayoffMatrix) -> float:
-    """sum_i e_i probs[i], added in basis order as in the trace tr(P rho_f)."""
-    return float(sum(e * q for e, q in zip(p.entries(), probs.tolist())))
+_INSTRUMENT = np.array([_instrument_row(s.strategy_a, s.strategy_b, s.payoff_a) for s in _PROTOCOL_STEPS])
+_INSTRUMENT.setflags(write=False)
+_LABELS = tuple(step.label for step in _PROTOCOL_STEPS)
+
+
+def _plus_probabilities(s: StokesVector) -> np.ndarray:
+    """Each step's probability that Alice is paid +1: A . (1, s), clipped to [0, 1]."""
+    return np.clip(_INSTRUMENT @ (1.0, s.s1, s.s2, s.s3), 0.0, 1.0)
 
 
 def _stokes_readout(alice: dict[str, float]) -> StokesVector:
@@ -166,19 +188,9 @@ def _stokes_readout(alice: dict[str, float]) -> StokesVector:
 
 
 def step_payoffs(rho: np.ndarray) -> tuple[StepPayoffs, ...]:
-    """Exact payoffs of both players at each canonical step, for a given state."""
-    _require_density(rho, 2)
-    out = []
-    for step, factors in zip(_PROTOCOL_STEPS, _STEP_FACTORS):
-        probs = _outcome_probabilities(rho, *factors)
-        out.append(
-            StepPayoffs(
-                label=step.label,
-                alice=_expected_payoff(probs, step.payoff_a),
-                bob=_expected_payoff(probs, step.payoff_b),
-            )
-        )
-    return tuple(out)
+    """Exact payoffs of both players at each canonical step: Alice 2 P(+1) - 1, Bob its negative."""
+    alice = (2.0 * _plus_probabilities(stokes_of(rho)) - 1.0).tolist()
+    return tuple(StepPayoffs(label, a, -a) for label, a in zip(_LABELS, alice))
 
 
 def exact_stokes(rho: np.ndarray) -> StokesVector:
@@ -202,16 +214,12 @@ def sample_payoff(
 
     probs holds the probabilities of the outcomes |00>, |01>, |10>, |11>, as
     returned by `measurement_distribution`; entries within DEFAULT_TOL below
-    zero count as zero. Payoff entries must be exactly +-1, so the mean is
-    (2k - m)/m for k ~ Binomial(m, p_plus) +1 draws: one draw at any m.
-    Identical (probs, p, shots, seed) reproduce the identical estimate.
+    zero count as zero. Payoff entries must be exactly +-1, so the estimate is
+    one count draw, as in `estimate_stokes`, and fixed inputs reproduce it.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    _check_seed(seed)
-    entries = np.array(p.entries())
-    if not np.all(np.abs(entries) == 1.0):
-        raise ValueError("payoff entries must all be +1 or -1 for sampling")
+    shots = _check_shots(shots)
+    seed = _check_seed(seed)
+    plus = _plus_outcomes(p)
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (4,):
         raise ValueError(f"expected 4 outcome probabilities, got shape {probs.shape}")
@@ -222,37 +230,33 @@ def sample_payoff(
     if abs(float(probs.sum()) - 1.0) > DEFAULT_TOL:
         raise ValueError("outcome probabilities must sum to 1")
     # Rounding can put the normalized sum just above 1, which binomial rejects.
-    p_plus = min(float(np.maximum(probs, 0.0)[entries == 1.0].sum() / probs.sum()), 1.0)
+    p_plus = min(float(np.maximum(probs, 0.0)[plus].sum() / probs.sum()), 1.0)
+    return _draw(p_plus, shots, seed, label)
+
+
+def _draw(p_plus: float, shots: int, seed: int, label: str) -> SampleEstimate:
+    """One step's estimate from one count draw k ~ Binomial(shots, p_plus); inputs already checked."""
     k = int(np.random.default_rng(seed).binomial(shots, p_plus))
-    return SampleEstimate(
-        value=(2 * k - shots) / shots,
-        shots=shots,
-        std_error=2.0 * math.sqrt(k * (shots - k)) / shots**1.5,
-        seed=int(seed),
-        step_label=label,
+    std_error = 2.0 * math.sqrt(k * (shots - k)) / shots**1.5
+    return SampleEstimate((2 * k - shots) / shots, shots, std_error, seed, label)
+
+
+def _estimate(s: StokesVector, shots: int, seed: int) -> TomographyResult:
+    """Draw all three steps of a state with Bloch vector s; sub-seed i drives step i."""
+    shots = _check_shots(shots)
+    p = _plus_probabilities(s)
+    draws = enumerate(zip(_LABELS, p.tolist()))
+    estimates = tuple(_draw(p_k, shots, derive_seed(seed, i), label) for i, (label, p_k) in draws)
+    return TomographyResult(
+        stokes_est=_stokes_readout({e.step_label: e.value for e in estimates}),
+        per_step=estimates,
+        stokes_exact=_stokes_readout(dict(zip(_LABELS, (2.0 * p - 1.0).tolist()))),
     )
 
 
 def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
-    """Sample all three steps with shots each; sub-seed i drives step i.
-
-    Returns the estimates and the exact readout of the distributions they
-    were drawn from; reconstruction is a separate concern.
-    """
-    _require_density(rho, 2)
-    estimates = []
-    exact = {}
-    for i, (step, factors) in enumerate(zip(_PROTOCOL_STEPS, _STEP_FACTORS)):
-        probs = _outcome_probabilities(rho, *factors)
-        exact[step.label] = _expected_payoff(probs, step.payoff_a)
-        estimates.append(
-            sample_payoff(probs, step.payoff_a, shots, derive_seed(seed, i), label=step.label)
-        )
-    return TomographyResult(
-        stokes_est=_stokes_readout({e.step_label: e.value for e in estimates}),
-        per_step=tuple(estimates),
-        stokes_exact=_stokes_readout(exact),
-    )
+    """Sample all three steps with shots each, sub-seed i driving step i, and read them out exactly too."""
+    return _estimate(stokes_of(rho), shots, seed)
 
 
 def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
@@ -274,19 +278,14 @@ def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
 def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:
     """Full pipeline: estimate, reconstruct with projection, score against truth.
 
-    Only `estimate_stokes` checks the true state; the scores compare the
-    Bloch vectors of matrices built here, so they equal `fidelity(q, rho_hat)`
-    and `trace_distance(pure_density(q), rho_hat)` without re-checking them.
+    The truth is checked once and its Bloch vector, taken once, drives the
+    draws and the scores; the scores equal `fidelity(q, rho_hat)` and
+    `trace_distance(pure_density(q), rho_hat)` without re-checking rho_hat.
     """
-    rho_true = pure_density(q)
-    est = estimate_stokes(rho_true, shots, seed)
+    truth = stokes_of(pure_density(q))
+    est = _estimate(truth, shots, seed)
     rho_hat, projected = reconstruct(est.stokes_est)
-    truth, s_hat = _pauli_stokes(rho_true), _pauli_stokes(rho_hat)
-    return replace(
-        est,
-        rho_hat=rho_hat,
-        projected=projected,
-        fidelity=_bloch_fidelity(s_hat, truth),
-        trace_dist=_bloch_trace_distance(s_hat, truth),
-    )
+    s_hat = _pauli_stokes(rho_hat)
+    fid, dist = _bloch_fidelity(s_hat, truth), _bloch_trace_distance(s_hat, truth)
+    return replace(est, rho_hat=rho_hat, projected=projected, fidelity=fid, trace_dist=dist)
 

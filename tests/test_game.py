@@ -161,7 +161,7 @@ class TestPayoffExact:
         step = _step("S2")
         run = evolve(rho_in, step.strategy_a, step.strategy_b)
         assert payoff_exact(run, step.payoff_a) == pytest.approx(1.0, abs=1e-12)
-        assert payoff_exact(run, step.payoff_b) == pytest.approx(-1.0, abs=1e-12)
+        assert payoff_exact(run, BOB_PAYOFF) == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_operator_scores_zero(self):
         rho_in = initial_state(0.5 * np.eye(2))

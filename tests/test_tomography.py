@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from qtomo.states import (
 from qtomo.tomography import (
     ALICE_PAYOFF,
     BOB_PAYOFF,
-    _factors,
-    _outcome_probabilities,
+    _INSTRUMENT,
+    _instrument_row,
     derive_seed,
     estimate_stokes,
     exact_stokes,
@@ -49,6 +50,7 @@ bloch_points = st.tuples(
     st.floats(-1.0, 1.0, allow_nan=False),
     st.floats(-1.0, 1.0, allow_nan=False),
 ).filter(lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= 1.0)
+sign_payoffs = st.builds(PayoffMatrix, *[st.sampled_from((1.0, -1.0))] * 4)
 
 
 def _step(label):
@@ -78,7 +80,7 @@ class TestProtocolSteps:
     def test_payoff_assignments(self):
         for step in protocol_steps():
             assert step.payoff_a.entries() == (1.0, -1.0, 1.0, -1.0)
-            assert step.payoff_b.entries() == (-1.0, 1.0, -1.0, 1.0)
+        assert BOB_PAYOFF.entries() == (-1.0, 1.0, -1.0, 1.0)
 
 
 class TestExactStokes:
@@ -142,14 +144,27 @@ class TestBlochGeometry:
 
 
 class TestProductFormOracle:
-    """The qubit-only hot path against the paper's 4x4 appended-state route."""
+    """The hot path's instrument rows against the paper's 4x4 appended-state route."""
 
     @settings(deadline=None)
-    @given(strategies, strategies, bloch_points)
-    def test_distribution_matches_appended_state(self, sa, sb, vec):
+    @given(strategies, strategies, sign_payoffs, bloch_points)
+    def test_instrument_row_matches_appended_state(self, sa, sb, p, vec):
         rho = density_from_stokes(StokesVector(1.0, *vec))
         oracle = measurement_distribution(evolve(initial_state(rho), sa, sb))
-        assert max_abs(_outcome_probabilities(rho, *_factors(sa, sb)) - oracle) <= 1e-12
+        p_plus = float(oracle[np.array(p.entries()) == 1.0].sum())
+        assert abs(float(_instrument_row(sa, sb, p) @ (1.0, *vec)) - p_plus) <= 1e-12
+
+    def test_rows_read_one_stokes_parameter_each(self):
+        # The paper's claim: step k pays Alice +1 with probability (1 + s_k)/2.
+        expected = {"S2": (0.5, 0.0, 0.5, 0.0), "S1": (0.5, 0.5, 0.0, 0.0), "S3": (0.5, 0.0, 0.0, 0.5)}
+        for step, row in zip(protocol_steps(), _INSTRUMENT):
+            np.testing.assert_allclose(row, expected[step.label], rtol=0, atol=1e-15)
+
+    def test_row_rejects_payoffs_other_than_plus_minus_one(self):
+        with pytest.raises(ValueError, match="\\+1 or -1"):
+            _instrument_row(Strategy(HALF_PI), Strategy(HALF_PI), PayoffMatrix(2.0, -1.0, 1.0, -1.0))
+        with pytest.raises(ValueError):
+            _instrument_row(Strategy(HALF_PI), Strategy(HALF_PI), PayoffMatrix(0.0, -1.0, 1.0, -1.0))
 
     def test_step_payoffs_match_payoff_exact(self):
         rng = np.random.default_rng(16)
@@ -164,7 +179,7 @@ class TestProductFormOracle:
                 run = evolve(rho_in, step.strategy_a, step.strategy_b)
                 assert pay.label == step.label
                 assert abs(pay.alice - payoff_exact(run, step.payoff_a)) <= 1e-12
-                assert abs(pay.bob - payoff_exact(run, step.payoff_b)) <= 1e-12
+                assert abs(pay.bob - payoff_exact(run, BOB_PAYOFF)) <= 1e-12
 
 
 class TestMeasurementDistribution:
@@ -242,6 +257,16 @@ class TestSamplePayoff:
             sample_payoff(probs, ALICE_PAYOFF, 10, -1)
         with pytest.raises(ValueError):
             sample_payoff(probs, ALICE_PAYOFF, 10, 2**64)
+
+    def test_shots_must_be_an_integer(self):
+        probs = _probs(PureQubit(1.1, 2.3), "S1")
+        with pytest.raises(TypeError):
+            sample_payoff(probs, ALICE_PAYOFF, 2.5, 1)
+        with pytest.raises(TypeError):
+            sample_payoff(probs, ALICE_PAYOFF, 16.0, 1)
+        est = sample_payoff(probs, ALICE_PAYOFF, np.int64(16), np.uint64(7))
+        assert type(est.shots) is int and type(est.seed) is int
+        assert est == sample_payoff(probs, ALICE_PAYOFF, 16, 7)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="4 outcome"):
@@ -340,6 +365,17 @@ class TestDeriveSeed:
             derive_seed(-1, 0)
         with pytest.raises(ValueError):
             derive_seed(0, -1)
+        with pytest.raises((TypeError, ValueError)):
+            derive_seed(5.0, 0)
+
+    def test_numpy_integers_mix_like_python_ints(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for master in (np.int64(5), np.uint64(5)):
+                for i in range(4):
+                    assert derive_seed(master, i) == derive_seed(5, i)
+                    assert type(derive_seed(master, np.int64(i))) is int
+                    assert derive_seed(master, np.int64(i)) == derive_seed(5, i)
 
 
 class TestEstimateStokes:
@@ -387,6 +423,16 @@ class TestEstimateStokes:
     def test_checks_the_state_once(self, is_density_calls):
         estimate_stokes(pure_density(PureQubit(0.9, 1.7)), 16, 1)
         assert len(is_density_calls) == 1
+
+    def test_shots_must_be_an_integer(self):
+        rho = pure_density(PureQubit(1.1, 2.3))
+        with pytest.raises(TypeError):
+            estimate_stokes(rho, 2.5, 1)
+        with pytest.raises(ValueError):
+            estimate_stokes(rho, 0, 1)
+        res = estimate_stokes(rho, np.int64(16), 1)
+        assert all(type(e.shots) is int for e in res.per_step)
+        assert res.per_step == estimate_stokes(rho, 16, 1).per_step
 
 
 class TestReconstruct:
@@ -499,6 +545,10 @@ class TestRunTomography:
             assert res.fidelity == fidelity(q, res.rho_hat)
             assert res.trace_dist == trace_distance(pure_density(q), res.rho_hat)
             assert res.stokes_exact == exact_stokes(pure_density(q))
+
+    def test_fractional_shots_rejected(self):
+        with pytest.raises(TypeError):
+            run_tomography(PureQubit(1.1, 2.3), 2.5, 1)
 
     def test_metrics_are_consistent(self):
         res = run_tomography(PureQubit(2.2, 1.0), 20_000, 17)
