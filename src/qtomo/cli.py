@@ -22,14 +22,14 @@ import sys
 
 import numpy as np
 
-from .states import PureQubit, StokesVector, pure_density, stokes_of
+from .states import PureQubit, StokesVector, _bloch_rows, _pauli_stokes, pure_density, stokes_of
 from .tomography import (
-    _stokes_readout,
+    _scored,
+    _tomography,
     derive_seed,
     exact_stokes,
     protocol_steps,
     reconstruct,
-    run_tomography,
     step_payoffs,
 )
 
@@ -158,14 +158,10 @@ def _cmd_exact(args):
     q = _angles(args)
     rho = pure_density(q)
     payoffs = step_payoffs(rho)
-    exact = _stokes_readout({p.label: p.alice for p in payoffs})
-    reference = stokes_of(rho)
-    residual = max(
-        abs(exact.s0 - reference.s0),
-        abs(exact.s1 - reference.s1),
-        abs(exact.s2 - reference.s2),
-        abs(exact.s3 - reference.s3),
-    )
+    by_label = {p.label: p for p in payoffs}
+    exact = StokesVector(1.0, by_label["S1"].alice, by_label["S2"].alice, by_label["S3"].alice)
+    reference = _pauli_stokes(rho)  # step_payoffs has checked rho
+    residual = max(abs(getattr(exact, k) - getattr(reference, k)) for k in ("s0", "s1", "s2", "s3"))
     steps = []
     for i, (step, pay) in enumerate(zip(protocol_steps(), payoffs)):
         steps.append(
@@ -189,7 +185,6 @@ def _cmd_exact(args):
         "metrics": {"stokes_residual": residual},
         "seed": args.seed,
     }
-    by_label = {p.label: p for p in payoffs}
     header = ["theta", "phi", "s1", "s2", "s3",
               "alice_s1", "bob_s1", "alice_s2", "bob_s2", "alice_s3", "bob_s3", "residual"]
     row = [q.theta, q.phi, exact.s1, exact.s2, exact.s3,
@@ -215,11 +210,10 @@ def _cmd_sample(args):
     _check_count("trials", args.trials, MAX_TRIALS)
     q = _angles(args)
     master = _resolve_seed(args)
-    if args.trials == 1:
-        trial_seeds = [master]
-    else:
-        trial_seeds = [derive_seed(master, t) for t in range(args.trials)]
-    results = [run_tomography(q, args.shots, ts) for ts in trial_seeds]
+    trial_seeds = [master] if args.trials == 1 else [derive_seed(master, t) for t in range(args.trials)]
+    truth = np.repeat(_bloch_rows(stokes_of(pure_density(q))), args.trials, axis=0)
+    batch = _tomography(truth, args.shots, trial_seeds)
+    results = [_scored(batch, t) for t in range(args.trials)]
     first = results[0]
     steps = [
         {
@@ -234,10 +228,9 @@ def _cmd_sample(args):
     ]
     metrics = {"fidelity": first.fidelity, "trace_distance": first.trace_dist}
     if args.trials > 1:
-        fidelities = sorted(r.fidelity for r in results)
         metrics["trials"] = args.trials
-        metrics["median_fidelity"] = float(np.median([r.fidelity for r in results]))
-        metrics["min_fidelity"] = fidelities[0]
+        metrics["median_fidelity"] = float(np.median(batch.fidelity))
+        metrics["min_fidelity"] = float(batch.fidelity.min())
         metrics["per_trial"] = [
             {
                 "trial": t,
@@ -271,6 +264,9 @@ def _cmd_sample(args):
     return report, header, rows
 
 
+_SWEEP_KEYS = ["theta", "phi", "s1", "s2", "s3", "s1_hat", "s2_hat", "s3_hat", "fidelity", "seed"]
+
+
 def _cmd_sweep(args):
     if args.theta_steps < 2 or args.phi_steps < 2:
         raise ValueError("sweep needs at least 2 grid steps per axis")
@@ -279,27 +275,14 @@ def _cmd_sweep(args):
     master = _resolve_seed(args)
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
     phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
-    cells = []
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            cell_seed = derive_seed(master, i * args.phi_steps + j)
-            q = PureQubit(float(theta), float(phi))
-            result = run_tomography(q, args.shots, cell_seed)
-            exact, s = result.stokes_exact, result.stokes_est
-            cells.append(
-                {
-                    "theta": q.theta,
-                    "phi": q.phi,
-                    "s1": exact.s1,
-                    "s2": exact.s2,
-                    "s3": exact.s3,
-                    "s1_hat": s.s1,
-                    "s2_hat": s.s2,
-                    "s3_hat": s.s3,
-                    "fidelity": result.fidelity,
-                    "seed": cell_seed,
-                }
-            )
+    states = [PureQubit(theta, phi) for theta in thetas.tolist() for phi in phis.tolist()]
+    seeds = [derive_seed(master, k) for k in range(len(states))]
+    batch = _tomography(_bloch_rows(*(stokes_of(pure_density(q)) for q in states)), args.shots, seeds)
+    columns = zip(states, batch.exact.tolist(), batch.estimate.tolist(), batch.fidelity.tolist(), seeds)
+    cells = [
+        dict(zip(_SWEEP_KEYS, [q.theta, q.phi, *exact, *est, fid, seed]))
+        for q, exact, est, fid, seed in columns
+    ]
     report = {
         "command": "sweep",
         "inputs": {"theta_steps": args.theta_steps, "phi_steps": args.phi_steps, "shots": args.shots},
@@ -309,7 +292,7 @@ def _cmd_sweep(args):
         "metrics": {"cells": len(cells)},
         "seed": master,
     }
-    header = ["theta", "phi", "s1", "s2", "s3", "s1_hat", "s2_hat", "s3_hat", "fidelity"]
+    header = _SWEEP_KEYS[:-1]
     return report, header, [[cell[k] for k in header] for cell in cells]
 
 

@@ -111,25 +111,34 @@ def density_from_stokes(s: StokesVector) -> np.ndarray:
     return cmatrix(rho)
 
 
-def _bloch_fidelity(s: StokesVector, t: StokesVector) -> float:
-    """(1 + s.t)/2, clamped to [0, 1]: the fidelity of two qubit states when one is pure."""
-    dot = s.s1 * t.s1 + s.s2 * t.s2 + s.s3 * t.s3
-    return min(max(0.5 * (1.0 + dot), 0.0), 1.0)
+def _bloch_rows(*vectors: StokesVector) -> np.ndarray:
+    """The Bloch vectors (s1, s2, s3) of the given Stokes vectors, as the rows of an (n, 3) array."""
+    return np.array([(v.s1, v.s2, v.s3) for v in vectors])
 
 
-def _bloch_trace_distance(s: StokesVector, t: StokesVector) -> float:
-    """|s - t|/2, the trace distance of two qubit states."""
-    return 0.5 * math.sqrt((s.s1 - t.s1) ** 2 + (s.s2 - t.s2) ** 2 + (s.s3 - t.s3) ** 2)
+def _bloch_fidelity(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(1 + s.t)/2 per row of two (n, 3) Bloch arrays, in [0, 1]: the fidelity when one state is pure."""
+    st = s * t
+    return np.minimum(np.maximum(0.5 * (1.0 + (st[:, 0] + st[:, 1] + st[:, 2])), 0.0), 1.0)
+
+
+def _bloch_trace_distance(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """|s - t|/2 per row of two (n, 3) Bloch arrays: the trace distance of two qubit states."""
+    d = s - t
+    dd = d * d
+    return 0.5 * np.sqrt(dd[:, 0] + dd[:, 1] + dd[:, 2])
 
 
 def fidelity(q: PureQubit, rho: np.ndarray) -> float:
     """Overlap <psi| rho |psi> between a pure target and a density matrix, as (1 + s.t)/2."""
     _require_density(rho, 2)
-    return _bloch_fidelity(_pauli_stokes(rho), _pauli_stokes(pure_density(q)))
+    s = _bloch_rows(_pauli_stokes(rho), _pauli_stokes(pure_density(q)))
+    return float(_bloch_fidelity(s[:1], s[1:])[0])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of (a - b): half the Euclidean distance between the Bloch vectors."""
     _require_density(a, 2)
     _require_density(b, 2)
-    return _bloch_trace_distance(_pauli_stokes(a), _pauli_stokes(b))
+    s = _bloch_rows(_pauli_stokes(a), _pauli_stokes(b))
+    return float(_bloch_trace_distance(s[:1], s[1:])[0])

@@ -13,13 +13,21 @@ paper's derivation and the tests' oracle). A step's m-shot estimate
 (2k - m)/m needs one draw of the count k ~ Binomial(m, P(+1)) of +1 shots,
 and all randomness flows from one 64-bit master seed through a
 splitmix-style derivation, so every result is reproducible bit for bit.
+
+One array core, `_tomography`, runs the protocol on n Bloch vectors at once:
+a count draw per (state, step) from the state's seed, then readouts,
+projection and scores as arrays. `run_tomography` is its n = 1 case and a CLI
+sweep or trial set is one call. A (1, s) is summed elementwise in a fixed
+order, not as a matrix product, whose rounding depends on the number of rows:
+a state's numbers do not depend on the size of its batch.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +38,7 @@ from .states import (
     PureQubit,
     StokesVector,
     _bloch_fidelity,
+    _bloch_rows,
     _bloch_trace_distance,
     _pauli_stokes,
     density_from_stokes,
@@ -175,27 +184,27 @@ def _instrument_row(sa: Strategy, sb: Strategy, p: PayoffMatrix) -> np.ndarray:
 _INSTRUMENT = np.array([_instrument_row(s.strategy_a, s.strategy_b, s.payoff_a) for s in _PROTOCOL_STEPS])
 _INSTRUMENT.setflags(write=False)
 _LABELS = tuple(step.label for step in _PROTOCOL_STEPS)
+_BLOCH_ORDER = [_LABELS.index(label) for label in ("S1", "S2", "S3")]  # the steps reading s1, s2, s3
+_E3 = np.array([0.0, 0.0, 1.0])
 
 
-def _plus_probabilities(s: StokesVector) -> np.ndarray:
-    """Each step's probability that Alice is paid +1: A . (1, s), clipped to [0, 1]."""
-    return np.clip(_INSTRUMENT @ (1.0, s.s1, s.s2, s.s3), 0.0, 1.0)
-
-
-def _stokes_readout(alice: dict[str, float]) -> StokesVector:
-    """The Stokes vector from Alice's per-step values, keyed by step label."""
-    return StokesVector(1.0, alice["S1"], alice["S2"], alice["S3"])
+def _plus_probabilities(truth: np.ndarray) -> np.ndarray:
+    """P(+1) = a0 + a1 s1 + a2 s2 + a3 s3, clipped to [0, 1]: a row per Bloch vector, a column per step."""
+    terms = truth.T[:, :, None] * _INSTRUMENT.T[1:, None, :]  # terms[c, i, k] = a_k,c+1 s_c+1 of row i
+    p = _INSTRUMENT[:, 0] + terms[0] + terms[1] + terms[2]
+    return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
 def step_payoffs(rho: np.ndarray) -> tuple[StepPayoffs, ...]:
     """Exact payoffs of both players at each canonical step: Alice 2 P(+1) - 1, Bob its negative."""
-    alice = (2.0 * _plus_probabilities(stokes_of(rho)) - 1.0).tolist()
+    alice = (2.0 * _plus_probabilities(_bloch_rows(stokes_of(rho))) - 1.0)[0].tolist()
     return tuple(StepPayoffs(label, a, -a) for label, a in zip(_LABELS, alice))
 
 
 def exact_stokes(rho: np.ndarray) -> StokesVector:
     """Stokes vector read off from Alice's exact payoffs over the three steps."""
-    return _stokes_readout({sp.label: sp.alice for sp in step_payoffs(rho)})
+    alice = {sp.label: sp.alice for sp in step_payoffs(rho)}
+    return StokesVector(1.0, alice["S1"], alice["S2"], alice["S3"])
 
 
 def measurement_distribution(run: GameRun) -> np.ndarray:
@@ -241,51 +250,75 @@ def _draw(p_plus: float, shots: int, seed: int, label: str) -> SampleEstimate:
     return SampleEstimate((2 * k - shots) / shots, shots, std_error, seed, label)
 
 
-def _estimate(s: StokesVector, shots: int, seed: int) -> TomographyResult:
-    """Draw all three steps of a state with Bloch vector s; sub-seed i drives step i."""
+def _project(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, projected): each row of an (n, 3) Bloch array beyond 1 + DEFAULT_TOL scaled onto the sphere.
+
+    Exact round trips of physical states never move; a norm that overflows raises ValueError.
+    """
+    with np.errstate(over="ignore"):
+        sq = t * t
+    norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    if not np.isfinite(norm).all():
+        raise ValueError("Bloch vector norm overflows")
+    projected = norm > 1.0 + DEFAULT_TOL
+    return t / np.where(projected, norm, 1.0)[:, None], projected
+
+
+def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
+    """(rho, projected): the density matrix of s, its Bloch vector projected as `_project` does."""
+    (t,), (projected,) = _project(_bloch_rows(s))
+    return density_from_stokes(StokesVector(s.s0, *t.tolist())), bool(projected)
+
+
+# A batch of n states: each row's SampleEstimates, then (n, 3) Bloch arrays of the exact and sampled
+# readouts and of the sample projected into the ball (bloch_hat), then (n,) flags and scores.
+_Batch = namedtuple("_Batch", "per_step exact estimate bloch_hat projected fidelity trace_distance")
+
+
+def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
+    """The protocol on each row of an (n, 3) Bloch array; row i draws step j from derive_seed(seeds[i], j).
+
+    The scores read t back from rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does
+    (s3 as (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
+    """
     shots = _check_shots(shots)
-    p = _plus_probabilities(s)
-    draws = enumerate(zip(_LABELS, p.tolist()))
-    estimates = tuple(_draw(p_k, shots, derive_seed(seed, i), label) for i, (label, p_k) in draws)
-    return TomographyResult(
-        stokes_est=_stokes_readout({e.step_label: e.value for e in estimates}),
-        per_step=estimates,
-        stokes_exact=_stokes_readout(dict(zip(_LABELS, (2.0 * p - 1.0).tolist()))),
-    )
+    p = _plus_probabilities(truth)
+    per_step = [
+        tuple(_draw(p_j, shots, derive_seed(seed, j), _LABELS[j]) for j, p_j in enumerate(row))
+        for seed, row in zip(seeds, p.tolist())
+    ]
+    estimate = np.array([[steps[j].value for j in _BLOCH_ORDER] for steps in per_step])
+    t, projected = _project(estimate)
+    t_hat = 0.5 * (_E3 + t) - 0.5 * (_E3 - t)  # t as `_pauli_stokes` reads it back from rho_hat
+    exact = (2.0 * p - 1.0).take(_BLOCH_ORDER, axis=1)
+    fid, dist = _bloch_fidelity(t_hat, truth), _bloch_trace_distance(t_hat, truth)
+    return _Batch(per_step, exact, estimate, t, projected, fid, dist)
+
+
+def _result(batch: _Batch, i: int, **reconstruction) -> TomographyResult:
+    """Row i of a batch as a TomographyResult, with any reconstruction fields given."""
+    est, exact = (StokesVector(1.0, *v[i].tolist()) for v in (batch.estimate, batch.exact))
+    return TomographyResult(est, batch.per_step[i], stokes_exact=exact, **reconstruction)
+
+
+def _scored(batch: _Batch, i: int) -> TomographyResult:
+    """Row i of a batch with its reconstruction and scores."""
+    rho_hat = density_from_stokes(StokesVector(1.0, *batch.bloch_hat[i].tolist()))
+    return _result(batch, i, rho_hat=rho_hat, projected=bool(batch.projected[i]),
+                   fidelity=float(batch.fidelity[i]), trace_dist=float(batch.trace_distance[i]))
 
 
 def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
     """Sample all three steps with shots each, sub-seed i driving step i, and read them out exactly too."""
-    return _estimate(stokes_of(rho), shots, seed)
-
-
-def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
-    """Rebuild a density matrix from Stokes parameters.
-
-    A Bloch vector outside the unit ball (beyond DEFAULT_TOL, so exact round
-    trips of physical states never trigger this) is rescaled radially onto
-    the sphere; a norm that overflows raises ValueError. Returns (rho, projected).
-    """
-    norm = s.bloch_norm()
-    if not math.isfinite(norm):
-        raise ValueError("Bloch vector norm overflows")
-    projected = norm > 1.0 + DEFAULT_TOL
-    if projected:
-        s = StokesVector(s.s0, s.s1 / norm, s.s2 / norm, s.s3 / norm)
-    return density_from_stokes(s), projected
+    return _result(_tomography(_bloch_rows(stokes_of(rho)), shots, [seed]), 0)
 
 
 def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:
     """Full pipeline: estimate, reconstruct with projection, score against truth.
 
-    The truth is checked once and its Bloch vector, taken once, drives the
-    draws and the scores; the scores equal `fidelity(q, rho_hat)` and
-    `trace_distance(pure_density(q), rho_hat)` without re-checking rho_hat.
+    The n = 1 case of `_tomography`. `PureQubit` has checked the angles, so
+    the truth's Bloch vector is read from `pure_density(q)` with no density
+    check; the scores equal `fidelity(q, rho_hat)` and
+    `trace_distance(pure_density(q), rho_hat)`.
     """
-    truth = stokes_of(pure_density(q))
-    est = _estimate(truth, shots, seed)
-    rho_hat, projected = reconstruct(est.stokes_est)
-    s_hat = _pauli_stokes(rho_hat)
-    fid, dist = _bloch_fidelity(s_hat, truth), _bloch_trace_distance(s_hat, truth)
-    return replace(est, rho_hat=rho_hat, projected=projected, fidelity=fid, trace_dist=dist)
-
+    return _scored(_tomography(_bloch_rows(_pauli_stokes(pure_density(q))), shots, [seed]), 0)

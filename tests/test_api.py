@@ -29,3 +29,16 @@ def test_src_has_no_assert_statements():
     for path in sorted(Path(qtomo.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+def test_one_generator_call_site():
+    # Every draw in the package comes from one generator site, so a batch path
+    # cannot grow a second sampler beside the one behind sample_payoff.
+    sites = []
+    for path in sorted(Path(qtomo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = ast.unparse(node.func)  # a chained call such as rng(...).binomial holds "("
+                if "(" not in func and ("random." in func or func.endswith("default_rng")):
+                    sites.append((path.name, node.lineno, func))
+    assert [func for _, _, func in sites] == ["np.random.default_rng"], sites

@@ -68,6 +68,10 @@ class TestExact:
         report = run_json(capsys, ["exact", "--theta", "90", "--phi", "0", "--degrees"])
         assert report["stokes"]["s1"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_checks_the_state_once(self, capsys, is_density_calls):
+        run_json(capsys, ["exact", "--theta", "1.1", "--phi", "2.2"])
+        assert len(is_density_calls) == 1
+
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(capsys, ["exact", "--theta", "0", "--phi", "0", "--format", "csv"])
         assert code == EXIT_OK
@@ -123,6 +127,30 @@ class TestSample:
         )
         assert code == EXIT_OK
         assert len(out.splitlines()) == 4  # header + one row per trial
+
+    def test_trials_match_the_library_bit_for_bit(self, capsys):
+        argv = ["sample", "--theta", "2.9", "--phi", "3.0", "--shots", "64", "--seed", "5", "--trials", "5"]
+        q = PureQubit(2.9, 3.0)
+        results = [run_tomography(q, 64, derive_seed(5, t)) for t in range(5)]
+        per_trial = run_json(capsys, argv)["metrics"]["per_trial"]
+        assert [(t["fidelity"], t["trace_distance"], t["projected"]) for t in per_trial] == [
+            (r.fidelity, r.trace_dist, r.projected) for r in results
+        ]
+        assert any(r.projected for r in results) and not all(r.projected for r in results)
+        code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+        assert code == EXIT_OK
+        rows = list(csv.reader(out.splitlines()))[1:]
+        for t, (row, r) in enumerate(zip(rows, results, strict=True)):
+            e = {est.step_label: est for est in r.per_step}
+            floats = (
+                [q.theta, q.phi, r.stokes_est.s1, r.stokes_est.s2, r.stokes_est.s3]
+                + [e["S1"].std_error, e["S2"].std_error, e["S3"].std_error]
+                + [x for z in r.rho_hat.ravel() for x in (z.real, z.imag)]
+                + [r.fidelity, r.trace_dist]
+            )
+            assert [int(row[0]), int(row[3]), int(row[4])] == [t, 64, derive_seed(5, t)]
+            assert [float(x) for x in row[1:3] + row[5:19] + row[20:]] == floats
+            assert row[19] == ("true" if r.projected else "false")
 
     def test_shot_validation_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["sample", "--theta", "0.1", "--phi", "0", "--shots", "0"])

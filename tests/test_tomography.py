@@ -27,6 +27,7 @@ from qtomo.tomography import (
     BOB_PAYOFF,
     _INSTRUMENT,
     _instrument_row,
+    _tomography,
     derive_seed,
     estimate_stokes,
     exact_stokes,
@@ -468,6 +469,23 @@ class TestReconstruct:
             vec = rng.uniform(-1.4, 1.4, 3)
             rho_hat, _ = reconstruct(StokesVector(1.0, *vec))
             assert is_density(rho_hat, 1e-9)
+
+
+class TestBatchCore:
+    """`_tomography` gives each state the same numbers in a batch of any size."""
+
+    # From 4 rows on, X @ A.T rounds some entries differently than row by row.
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(bloch_points, st.integers(0, 2**64 - 1)), min_size=4, max_size=24), st.integers(1, 10**6))
+    def test_rows_match_single_row_batches_bit_for_bit(self, rows, shots):
+        truth = np.array([vec for vec, _ in rows])
+        seeds = [seed for _, seed in rows]
+        batch = _tomography(truth, shots, seeds)
+        alone = [_tomography(truth[i : i + 1], shots, [seed]) for i, seed in enumerate(seeds)]
+        assert batch.per_step == [a.per_step[0] for a in alone]
+        for name in batch._fields[1:]:
+            joined = np.concatenate([getattr(a, name) for a in alone])
+            assert getattr(batch, name).tobytes() == joined.tobytes(), name
 
 
 class TestRunTomography:
