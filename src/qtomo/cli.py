@@ -22,8 +22,9 @@ import sys
 
 import numpy as np
 
-from .states import PureQubit, StokesVector, _bloch_rows, _pauli_stokes, pure_density, stokes_of
+from .states import PureQubit, StokesVector, _pauli_stokes, pure_density, stokes_of
 from .tomography import (
+    _pure_rows,
     _scored,
     _tomography,
     derive_seed,
@@ -211,7 +212,7 @@ def _cmd_sample(args):
     q = _angles(args)
     master = _resolve_seed(args)
     trial_seeds = [master] if args.trials == 1 else [derive_seed(master, t) for t in range(args.trials)]
-    truth = np.repeat(_bloch_rows(stokes_of(pure_density(q))), args.trials, axis=0)
+    truth = np.repeat(_pure_rows([q]), args.trials, axis=0)
     batch = _tomography(truth, args.shots, trial_seeds)
     results = [_scored(batch, t) for t in range(args.trials)]
     first = results[0]
@@ -277,7 +278,7 @@ def _cmd_sweep(args):
     phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
     states = [PureQubit(theta, phi) for theta in thetas.tolist() for phi in phis.tolist()]
     seeds = [derive_seed(master, k) for k in range(len(states))]
-    batch = _tomography(_bloch_rows(*(stokes_of(pure_density(q)) for q in states)), args.shots, seeds)
+    batch = _tomography(_pure_rows(states), args.shots, seeds)
     columns = zip(states, batch.exact.tolist(), batch.estimate.tolist(), batch.fidelity.tolist(), seeds)
     cells = [
         dict(zip(_SWEEP_KEYS, [q.theta, q.phi, *exact, *est, fid, seed]))

@@ -6,7 +6,9 @@ player B's on the unknown qubit. A payoff is the expectation tr(P rho_f) of
 a diagonal payoff operator P in the evolved state, and the same number is
 available in closed form as a trigonometric function of the strategy angles
 and the state angles. The two routes agree to ~1e-12 and are tested against
-each other.
+each other. This module is the paper's derivation and the tests' oracle: the
+package exports only `Strategy` and `PayoffMatrix` from it, and the hot path
+in `tomography` reads the same payoffs through the 3x4 instrument matrix.
 """
 
 from __future__ import annotations
@@ -71,22 +73,6 @@ class GameRun:
     rho_f: np.ndarray
 
 
-@dataclass(frozen=True)
-class ClosedFormCoefficients:
-    """Trigonometric weights of the closed-form payoff.
-
-    The four quadratic weights partition unity; phi_coef and theta_coef carry
-    the interference terms that expose the off-diagonal of the unknown state.
-    """
-
-    chi: float
-    xi: float
-    omega: float
-    eta: float
-    phi_coef: float
-    theta_coef: float
-
-
 def strategy_unitary(s: Strategy) -> np.ndarray:
     """Materialize the strategy as a 2x2 unitary.
 
@@ -117,36 +103,15 @@ def evolve(rho_in: np.ndarray, sa: Strategy, sb: Strategy) -> GameRun:
     return GameRun(rho_in=rho_in, strategy_a=sa, strategy_b=sb, rho_f=rho_f)
 
 
-def payoff_operator(p: PayoffMatrix) -> np.ndarray:
-    """The diagonal observable diag(e00, e01, e10, e11)."""
-    return cmatrix(np.diag(p.entries()))
-
-
 def payoff_exact(run: GameRun, p: PayoffMatrix) -> float:
-    """Payoff Re tr(P rho_f).
+    """Payoff Re tr(P rho_f) of the diagonal observable P = diag(e00, e01, e10, e11).
 
     The imaginary part, sum_i e_i Im rho_f[i, i], is rounding plus the
     Hermiticity residue of rho_in that `evolve`'s density check bounds by
     DEFAULT_TOL, both scaled by the payoff entries, so only the real part is
     read.
     """
-    return complex(np.trace(payoff_operator(p) @ run.rho_f)).real
-
-
-def closed_form_coefficients(sa: Strategy, sb: Strategy) -> ClosedFormCoefficients:
-    ca2 = math.cos(sa.beta / 2.0) ** 2
-    sa2 = math.sin(sa.beta / 2.0) ** 2
-    cb2 = math.cos(sb.beta / 2.0) ** 2
-    sb2 = math.sin(sb.beta / 2.0) ** 2
-    sin_bb = math.sin(sb.beta)
-    return ClosedFormCoefficients(
-        chi=ca2 * cb2,
-        xi=ca2 * sb2,
-        omega=sa2 * sb2,
-        eta=sa2 * cb2,
-        phi_coef=0.5 * ca2 * sin_bb,
-        theta_coef=0.5 * sa2 * sin_bb,
-    )
+    return complex(np.trace(cmatrix(np.diag(p.entries())) @ run.rho_f)).real
 
 
 def payoff_closed_form(p: PayoffMatrix, sa: Strategy, sb: Strategy, q: PureQubit) -> float:
@@ -154,16 +119,24 @@ def payoff_closed_form(p: PayoffMatrix, sa: Strategy, sb: Strategy, q: PureQubit
 
     Both angular brackets (the cos(alpha_B) one and the sin(alpha_B) one)
     carry the same phi_coef/theta_coef weights; the result is independent of
-    alpha_A, which cancels exactly in the expectation.
+    alpha_A, which cancels exactly in the expectation. The four quadratic
+    weights chi, xi, omega, eta partition unity; phi_coef and theta_coef
+    carry the interference terms that expose the off-diagonal of the state.
     """
-    co = closed_form_coefficients(sa, sb)
+    ca2 = math.cos(sa.beta / 2.0) ** 2
+    sa2 = math.sin(sa.beta / 2.0) ** 2
+    cb2 = math.cos(sb.beta / 2.0) ** 2
+    sb2 = math.sin(sb.beta / 2.0) ** 2
+    sin_bb = math.sin(sb.beta)
+    chi, xi, omega, eta = ca2 * cb2, ca2 * sb2, sa2 * sb2, sa2 * cb2
+    phi_coef, theta_coef = 0.5 * ca2 * sin_bb, 0.5 * sa2 * sin_bb
     cos_half_sq = math.cos(q.theta / 2.0) ** 2
     sin_half_sq = math.sin(q.theta / 2.0) ** 2
     sin_theta = math.sin(q.theta)
-    edge = (p.e00 - p.e01) * co.phi_coef + (p.e10 - p.e11) * co.theta_coef
+    edge = (p.e00 - p.e01) * phi_coef + (p.e10 - p.e11) * theta_coef
     return (
-        (p.e00 * co.chi + p.e11 * co.omega + p.e01 * co.xi + p.e10 * co.eta) * cos_half_sq
-        + (p.e00 * co.xi + p.e11 * co.eta + p.e01 * co.chi + p.e10 * co.omega) * sin_half_sq
+        (p.e00 * chi + p.e11 * omega + p.e01 * xi + p.e10 * eta) * cos_half_sq
+        + (p.e00 * xi + p.e11 * eta + p.e01 * chi + p.e10 * omega) * sin_half_sq
         + edge * math.cos(sb.alpha) * sin_theta * math.cos(q.phi)
         + edge * math.sin(sb.alpha) * sin_theta * math.sin(q.phi)
     )

@@ -1,10 +1,10 @@
 """Validated complex matrices of the fixed 2x2 and 4x4 sizes used here.
 
-Constructors, the tensor product and the predicates behind every input
-check, as pure functions over read-only numpy arrays of complex128; nothing
-mutates its inputs. DEFAULT_TOL is the package's one tolerance: only the
-three predicates take a `tol`, and every density check elsewhere goes
-through `_require_density` at DEFAULT_TOL. Products, adjoints and traces
+Constructors, the tensor product and the density predicate behind every
+input check, as pure functions over read-only numpy arrays of complex128;
+nothing mutates its inputs. DEFAULT_TOL is the package's one tolerance: only
+`is_density` takes a `tol`, and every density check elsewhere goes through
+`_require_density` at DEFAULT_TOL. Products, adjoints and traces
 are plain numpy (`@`, `.conj().T`, `np.trace`). Only dimensions 2 and 4
 exist in this problem, so the constructors reject anything else.
 """
@@ -53,29 +53,12 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def _check_tol(tol: float) -> None:
+def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True iff a is Hermitian, has unit trace, and is PSD, all within tol (max-entry norm)."""
+    dim_of(a)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-
-
-def is_unitary(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a a^dagger is the identity within tol (max-entry norm)."""
-    n = dim_of(a)
-    _check_tol(tol)
-    return max_abs(a @ a.conj().T - np.eye(n)) <= tol
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    dim_of(a)
-    _check_tol(tol)
-    return max_abs(a - a.conj().T) <= tol
-
-
-def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a is Hermitian, has unit trace, and is PSD, all within tol."""
-    dim_of(a)
-    _check_tol(tol)
-    if not is_hermitian(a, tol):
+    if max_abs(a - a.conj().T) > tol:
         return False
     if abs(complex(np.trace(a)) - 1.0) > tol:
         return False

@@ -85,13 +85,14 @@ def _pauli_stokes(rho: np.ndarray) -> StokesVector:
 
     The imaginary part of tr(sigma_i rho) is tr(sigma_i (rho - rho^dagger))/2i,
     at most the Hermiticity residual that the caller's density check already
-    bounds by DEFAULT_TOL, so only the real part is read.
+    bounds by DEFAULT_TOL, so only the real part is read. Each trace is a sum
+    or difference of two entries of rho, so no product sigma_i rho is formed;
+    adding 0.0 reads a zero trace as +0.0, as that product does when an entry
+    is -0.0 (a subnormal Bloch coordinate halves to -0.0).
     """
-    values = []
-    for sigma in PAULIS:
-        m = sigma @ rho
-        values.append(float((m[0, 0] + m[1, 1]).real))
-    return StokesVector(*values)
+    (r00, r01), (r10, r11) = rho.tolist()
+    traces = (r00 + r11, r10 + r01, 1j * r01 - 1j * r10, r00 - r11)
+    return StokesVector(*(t.real + 0.0 for t in traces))
 
 
 def stokes_of(rho: np.ndarray) -> StokesVector:

@@ -264,6 +264,15 @@ def _project(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t / np.where(projected, norm, 1.0)[:, None], projected
 
 
+def _pure_rows(states) -> np.ndarray:
+    """The Bloch vectors of the given `PureQubit`s, as the rows of an (n, 3) array.
+
+    No density check: `PureQubit` has checked the angles, so `pure_density(q)`
+    is a valid pure state and its Bloch vector is read off unchecked.
+    """
+    return _bloch_rows(*(_pauli_stokes(pure_density(q)) for q in states))
+
+
 def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
     """(rho, projected): the density matrix of s, its Bloch vector projected as `_project` does."""
     (t,), (projected,) = _project(_bloch_rows(s))
@@ -316,9 +325,8 @@ def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
 def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:
     """Full pipeline: estimate, reconstruct with projection, score against truth.
 
-    The n = 1 case of `_tomography`. `PureQubit` has checked the angles, so
-    the truth's Bloch vector is read from `pure_density(q)` with no density
-    check; the scores equal `fidelity(q, rho_hat)` and
+    The n = 1 case of `_tomography`, with the truth read by `_pure_rows`
+    (no density check); the scores equal `fidelity(q, rho_hat)` and
     `trace_distance(pure_density(q), rho_hat)`.
     """
-    return _scored(_tomography(_bloch_rows(_pauli_stokes(pure_density(q))), shots, [seed]), 0)
+    return _scored(_tomography(_pure_rows([q]), shots, [seed]), 0)

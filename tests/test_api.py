@@ -1,10 +1,27 @@
 """Tests for the package's public name list and signatures."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
+import re
 from pathlib import Path
 
 import qtomo
+
+TESTS = Path(__file__).parent
+
+PIPELINE = {
+    # states
+    "PureQubit", "StokesVector", "pure_density", "stokes_of", "density_from_stokes",
+    # protocol
+    "Strategy", "PayoffMatrix", "ProtocolStep", "ALICE_PAYOFF", "BOB_PAYOFF", "protocol_steps",
+    "StepPayoffs", "step_payoffs", "exact_stokes",
+    # sampling
+    "SampleEstimate", "estimate_stokes", "derive_seed",
+    # reconstruction and scores
+    "TomographyResult", "reconstruct", "run_tomography", "fidelity", "trace_distance",
+}
 
 
 def test_all_names_resolve_without_repeats():
@@ -13,15 +30,43 @@ def test_all_names_resolve_without_repeats():
         assert hasattr(qtomo, name), name
 
 
+def test_public_surface_is_the_pipeline():
+    # The package exports the pipeline; the oracle and the matrix helpers stay
+    # importable from their own modules, where the acceptance suite imports them.
+    assert len(qtomo.__all__) == 22
+    assert set(qtomo.__all__) == PIPELINE
+    tree = ast.parse((TESTS / "test_acceptance.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    qtomo_imports = [node for node in imports if node.module.startswith("qtomo.")]
+    assert qtomo_imports
+    for node in qtomo_imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
 def test_only_the_linalg_predicates_take_a_tolerance():
-    # DEFAULT_TOL is the package's one tolerance; reconstruct always projects.
+    # DEFAULT_TOL is the package's one tolerance; is_density is the one
+    # predicate, and reconstruct always projects.
     takes_tol = set()
-    for name in qtomo.__all__:
-        obj = getattr(qtomo, name)
-        if inspect.isfunction(obj) and "tol" in inspect.signature(obj).parameters:
-            takes_tol.add(name)
-    assert takes_tol == {"is_density", "is_hermitian", "is_unitary"}
+    for info in pkgutil.iter_modules(qtomo.__path__):
+        mod = importlib.import_module(f"qtomo.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != mod.__name__:
+                continue
+            if "tol" in inspect.signature(obj).parameters:
+                takes_tol.add(name)
+    assert takes_tol == {"is_density"}
     assert list(inspect.signature(qtomo.reconstruct).parameters) == ["s"]
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's example names only exports that exist, and it runs.
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_src_has_no_assert_statements():

@@ -8,15 +8,13 @@ import pytest
 from qtomo.game import (
     PayoffMatrix,
     Strategy,
-    closed_form_coefficients,
     evolve,
     initial_state,
     payoff_closed_form,
     payoff_exact,
-    payoff_operator,
     strategy_unitary,
 )
-from qtomo.linalg import cmatrix, is_density, is_unitary, max_abs
+from qtomo.linalg import cmatrix, is_density, max_abs
 from qtomo.states import PureQubit, pure_density
 from qtomo.tomography import ALICE_PAYOFF, BOB_PAYOFF, protocol_steps
 
@@ -59,7 +57,7 @@ class TestStrategy:
         for beta in np.linspace(0.0, math.pi, 9):
             for alpha in np.arange(8) * (math.pi / 4):
                 u = strategy_unitary(Strategy(float(beta), float(alpha)))
-                assert is_unitary(u, 1e-12)
+                assert np.allclose(u @ u.conj().T, np.eye(2), rtol=0.0, atol=1e-12)
 
 
 class TestInitialState:
@@ -132,14 +130,7 @@ class TestEvolve:
             evolve(cmatrix(np.diag([1.5, -0.5, 0, 0])), Strategy(0.0), Strategy(0.0))
 
 
-class TestPayoffOperator:
-    def test_plus_minus_assignments(self):
-        np.testing.assert_array_equal(payoff_operator(ALICE_PAYOFF), np.diag([1.0, -1, 1, -1]).astype(complex))
-        np.testing.assert_array_equal(payoff_operator(BOB_PAYOFF), np.diag([-1.0, 1, -1, 1]).astype(complex))
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(payoff_operator(PayoffMatrix(0, 0, 0, 0)), np.zeros((4, 4)))
-
+class TestPayoffMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PayoffMatrix(math.inf, 0, 0, 0)
@@ -180,21 +171,14 @@ class TestPayoffExact:
 
 
 class TestClosedForm:
-    def test_balanced_coefficients(self):
-        co = closed_form_coefficients(Strategy(HALF_PI), Strategy(HALF_PI))
-        for value in (co.chi, co.xi, co.omega, co.eta, co.phi_coef, co.theta_coef):
-            assert value == pytest.approx(0.25, abs=1e-15)
-
-    def test_rest_strategies(self):
-        co = closed_form_coefficients(Strategy(0.0), Strategy(0.0))
-        assert (co.chi, co.xi, co.omega, co.eta) == (1.0, 0.0, 0.0, 0.0)
-        assert co.phi_coef == 0.0 and co.theta_coef == 0.0
-
     def test_quadratic_weights_partition_unity(self):
+        # With every entry 1 the payoff is chi + xi + omega + eta (the two
+        # interference terms cancel), so it reads the weights' sum.
         rng = np.random.default_rng(7)
         for _ in range(100):
-            co = closed_form_coefficients(random_strategy(rng), random_strategy(rng))
-            assert abs(co.chi + co.xi + co.omega + co.eta - 1.0) <= 1e-12
+            sa, sb = random_strategy(rng), random_strategy(rng)
+            value = payoff_closed_form(PayoffMatrix(1, 1, 1, 1), sa, sb, random_pure(rng))
+            assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_step_settings_read_the_state_angles(self):
         for theta in np.linspace(0.0, math.pi, 7):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qtomo.linalg import cmatrix, is_density, is_hermitian, is_unitary, kron, max_abs
+from qtomo.linalg import cmatrix, is_density, kron, max_abs
 from qtomo.states import SIGMA1, SIGMA2, SIGMA3
 
 I2 = np.eye(2, dtype=complex)
@@ -96,20 +96,11 @@ class TestTraceAndElementwise:
 
 
 class TestPredicates:
-    def test_unitary_examples(self):
-        assert is_unitary(I2, 1e-9)
-        assert is_unitary(SIGMA2, 1e-9)
-        assert not is_unitary(cmatrix([[1, 0], [0, 0.5]]), 1e-9)
-
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
-            is_unitary(I2, 0.0)
+            is_density(0.5 * I2, 0.0)
         with pytest.raises(ValueError):
             is_density(I2, -1e-9)
-
-    def test_hermitian(self):
-        assert is_hermitian(SIGMA2, 1e-12)
-        assert not is_hermitian(cmatrix([[0, 1], [0, 0]]), 1e-12)
 
     def test_density_examples(self):
         assert is_density(0.5 * I2, 1e-9)

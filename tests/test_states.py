@@ -1,5 +1,6 @@
 """Tests for qubit state representations and Stokes conversions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,12 +17,14 @@ from qtomo.states import (
     SIGMA3,
     PureQubit,
     StokesVector,
+    _pauli_stokes,
     density_from_stokes,
     fidelity,
     pure_density,
     stokes_of,
     trace_distance,
 )
+from qtomo.tomography import reconstruct
 
 I2 = np.eye(2, dtype=complex)
 KET0 = cmatrix([[1, 0], [0, 0]])
@@ -38,6 +41,11 @@ def bloch_vectors(max_norm=1.0):
         st.floats(-1.0, 1.0, allow_nan=False),
     )
     return coords.filter(lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= max_norm**2)
+
+
+# Bloch coordinates near zero: signed zeros, sub-ulp offsets and subnormals.
+ZERO_CORNERS = (0.0, -0.0, 1e-16, -1e-16, 5e-324, -5e-324)
+corner_coords = st.one_of(st.sampled_from(ZERO_CORNERS), st.floats(-1.0, 1.0, allow_nan=False))
 
 
 class TestPureQubit:
@@ -107,6 +115,37 @@ class TestStokesOf:
         assert [s.s0, s.s1, s.s2, s.s3] == [1.0, 1.0, 0.0, 0.0]
         expected = 0.5 * (1.0 + math.sin(1.0) * math.cos(1.0))
         assert fidelity(PureQubit(1.0, 1.0), rho) == pytest.approx(expected, abs=1e-12)
+
+
+class TestPauliStokes:
+    """The entry formulas of `_pauli_stokes` against the traces tr(sigma_i rho) as products."""
+
+    @staticmethod
+    def assert_matches_pauli_traces(rho):
+        got = _pauli_stokes(rho)
+        for sigma, value in zip(PAULIS, (got.s0, got.s1, got.s2, got.s3)):
+            m = sigma @ rho
+            expected = float((m[0, 0] + m[1, 1]).real)
+            assert value == expected and np.signbit(value) == np.signbit(expected), (rho, sigma)
+
+    @settings(deadline=None)
+    @given(st.tuples(corner_coords, corner_coords, corner_coords))
+    def test_matrices_built_from_bloch_vectors(self, v):
+        # density_from_stokes inside the ball, and reconstruct's projection of any vector.
+        if v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= 1.0:
+            self.assert_matches_pauli_traces(density_from_stokes(StokesVector(1.0, *v)))
+        self.assert_matches_pauli_traces(reconstruct(StokesVector(1.0, *v))[0])
+
+    @settings(deadline=None)
+    @given(st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]), angles),
+           st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, 1.5 * math.pi]), phases))
+    def test_pure_states(self, theta, phi):
+        self.assert_matches_pauli_traces(pure_density(PureQubit(theta, phi)))
+
+    def test_signed_zero_corners(self):
+        for v in itertools.product(ZERO_CORNERS, repeat=3):
+            self.assert_matches_pauli_traces(density_from_stokes(StokesVector(1.0, *v)))
+            self.assert_matches_pauli_traces(reconstruct(StokesVector(1.0, *v))[0])
 
 
 class TestDensityFromStokes:
