@@ -6,13 +6,19 @@ stokes, reconstruction, metrics, seed); sections that do not apply are null.
 Floats are serialized with 17 significant digits so that reports round-trip
 exactly and repeated seeded runs are byte-identical.
 
-Exit codes: 0 success, 2 validation/usage error, 3 I/O error.
+The argument parser is built once per process (`build_parser` is cached),
+so a driver that calls `main` many times in one process pays for it once;
+a sweep reads its grid's pure states in one array pass (`_pure_rows`).
+
+Exit codes: 0 success, 2 validation/usage error, 3 I/O error (the --out
+file or stdout cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -357,7 +363,13 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qtomo argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser unchanged, so repeated in-process `main` calls
+    (a sweep driver, the tests) reuse it rather than rebuild six parsers.
+    """
     ap = argparse.ArgumentParser(
         prog="qtomo",
         description="Single-qubit tomography via a two-player game protocol.",
@@ -406,15 +418,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = _dumps(report) + "\n" if args.format == "json" else _csv_text(header, rows)
-    if args.out is not None:
-        try:
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        target = "stdout" if args.out is None else args.out
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

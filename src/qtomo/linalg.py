@@ -33,7 +33,7 @@ def cmatrix(entries) -> np.ndarray:
     return _freeze(a)
 
 
-def dim_of(a: np.ndarray) -> int:
+def _dim_of(a: np.ndarray) -> int:
     """Matrix dimension (2 or 4); rejects any other shape."""
     shape = getattr(a, "shape", None)
     if getattr(a, "ndim", 0) != 2 or shape[0] != shape[1] or shape[0] not in _SUPPORTED_DIMS:
@@ -43,7 +43,7 @@ def dim_of(a: np.ndarray) -> int:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two 2x2 matrices, basis order |00>, |01>, |10>, |11>."""
-    if dim_of(a) != 2 or dim_of(b) != 2:
+    if _dim_of(a) != 2 or _dim_of(b) != 2:
         raise ValueError("kron takes two 2x2 operands")
     return _freeze(np.kron(a, b))
 
@@ -55,7 +55,7 @@ def max_abs(a: np.ndarray) -> float:
 
 def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff a is Hermitian, has unit trace, and is PSD, all within tol (max-entry norm)."""
-    dim_of(a)
+    _dim_of(a)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_abs(a - a.conj().T) > tol:
@@ -67,5 +67,5 @@ def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def _require_density(rho: np.ndarray, dim: int) -> None:
     """Raise ValueError unless rho is a valid dim x dim density matrix within DEFAULT_TOL."""
-    if dim_of(rho) != dim or not is_density(rho):
+    if _dim_of(rho) != dim or not is_density(rho):
         raise ValueError(f"expected a valid {dim}x{dim} density matrix")

@@ -67,17 +67,30 @@ class StokesVector:
         return math.sqrt(self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3)
 
 
-def _amplitudes(q: PureQubit) -> np.ndarray:
-    return np.array(
-        [math.cos(q.theta / 2.0), cmath.exp(1j * q.phi) * math.sin(q.theta / 2.0)],
-        dtype=np.complex128,
-    )
+def _amplitudes(q: PureQubit) -> tuple[float, complex]:
+    """The amplitudes (cos(theta/2), e^{i phi} sin(theta/2)) of |psi> on |0> and |1>."""
+    return math.cos(q.theta / 2.0), cmath.exp(1j * q.phi) * math.sin(q.theta / 2.0)
 
 
 def pure_density(q: PureQubit) -> np.ndarray:
     """Density matrix |psi><psi| of the pure state at (theta, phi)."""
-    psi = _amplitudes(q)
+    psi = np.array(_amplitudes(q), dtype=np.complex128)
     return cmatrix(np.outer(psi, psi.conj()))
+
+
+def _entry_stokes(r00, r01, r10, r11):
+    """(s0, s1, s2, s3) = Re tr(sigma_i rho) from the entries of rho, scalars or equal-shape arrays.
+
+    Each trace is a sum or difference of two entries, so no product sigma_i rho
+    is formed; adding 0.0 reads a zero trace as +0.0, as that product does when
+    an entry is -0.0 (a subnormal Bloch coordinate halves to -0.0).
+    """
+    return (
+        (r00 + r11).real + 0.0,
+        (r10 + r01).real + 0.0,
+        (1j * r01 - 1j * r10).real + 0.0,
+        (r00 - r11).real + 0.0,
+    )
 
 
 def _pauli_stokes(rho: np.ndarray) -> StokesVector:
@@ -85,14 +98,10 @@ def _pauli_stokes(rho: np.ndarray) -> StokesVector:
 
     The imaginary part of tr(sigma_i rho) is tr(sigma_i (rho - rho^dagger))/2i,
     at most the Hermiticity residual that the caller's density check already
-    bounds by DEFAULT_TOL, so only the real part is read. Each trace is a sum
-    or difference of two entries of rho, so no product sigma_i rho is formed;
-    adding 0.0 reads a zero trace as +0.0, as that product does when an entry
-    is -0.0 (a subnormal Bloch coordinate halves to -0.0).
+    bounds by DEFAULT_TOL, so only the real part is read, by `_entry_stokes`.
     """
     (r00, r01), (r10, r11) = rho.tolist()
-    traces = (r00 + r11, r10 + r01, 1j * r01 - 1j * r10, r00 - r11)
-    return StokesVector(*(t.real + 0.0 for t in traces))
+    return StokesVector(*_entry_stokes(r00, r01, r10, r11))
 
 
 def stokes_of(rho: np.ndarray) -> StokesVector:

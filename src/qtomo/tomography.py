@@ -17,9 +17,11 @@ splitmix-style derivation, so every result is reproducible bit for bit.
 One array core, `_tomography`, runs the protocol on n Bloch vectors at once:
 a count draw per (state, step) from the state's seed, then readouts,
 projection and scores as arrays. `run_tomography` is its n = 1 case and a CLI
-sweep or trial set is one call. A (1, s) is summed elementwise in a fixed
-order, not as a matrix product, whose rounding depends on the number of rows:
-a state's numbers do not depend on the size of its batch.
+sweep or trial set is one call; `_pure_rows` reads the batch's pure truths in
+one array pass, equal bit for bit to reading them one at a time. A (1, s) is
+summed elementwise in a fixed order, not as a matrix product, whose rounding
+depends on the number of rows: a state's numbers do not depend on the size of
+its batch.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from .states import (
     PAULIS,
     PureQubit,
     StokesVector,
+    _amplitudes,
     _bloch_fidelity,
     _bloch_rows,
     _bloch_trace_distance,
-    _pauli_stokes,
+    _entry_stokes,
     density_from_stokes,
-    pure_density,
     stokes_of,
 )
 
@@ -267,10 +269,17 @@ def _project(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pure_rows(states) -> np.ndarray:
     """The Bloch vectors of the given `PureQubit`s, as the rows of an (n, 3) array.
 
-    No density check: `PureQubit` has checked the angles, so `pure_density(q)`
-    is a valid pure state and its Bloch vector is read off unchecked.
+    One array pass: each |psi><psi| is the numpy product of the amplitudes
+    that `pure_density` forms, and `_entry_stokes` reads its entries as
+    `_pauli_stokes` does, so each row equals `_pauli_stokes(pure_density(q))`
+    bit for bit. The products stay in numpy: Python's complex product rounds
+    b * conj(b) differently in the last bit. No density check: `PureQubit`
+    has checked the angles, so each |psi><psi| is a valid pure state.
     """
-    return _bloch_rows(*(_pauli_stokes(pure_density(q)) for q in states))
+    psi = np.array([_amplitudes(q) for q in states], dtype=np.complex128)
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    s = _entry_stokes(rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1])
+    return np.array(s[1:]).T
 
 
 def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:

@@ -1,14 +1,19 @@
 """Tests for the qtomo command line: schemas, determinism, exit codes."""
 
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+import qtomo
+from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
 from qtomo.states import PureQubit, pure_density
 from qtomo.tomography import derive_seed, exact_stokes, run_tomography
 
@@ -386,3 +391,62 @@ def test_seeded_report_matches_golden_text(capsys, command):
     code, out, err = run_cli(capsys, GOLDEN_ARGS[command])
     assert code == EXIT_OK, err
     assert out == (GOLDEN / f"{command}.json").read_text(encoding="utf-8")
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose `write` or `flush` (the method named) raises OSError, as on a full disk."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+class TestStdoutErrors:
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_unwritable_stdout_exits_3(self, capsys, monkeypatch, failing):
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
+        code = main(["exact", "--theta", "1", "--phi", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO
+        assert err.startswith("error: cannot write stdout")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_3(self):
+        # The whole process, interpreter shutdown included: no traceback and
+        # no second failed flush at exit.
+        src = str(Path(qtomo.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qtomo.cli", "exact", "--theta", "1", "--phi", "1"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert proc.returncode == EXIT_IO
+        assert proc.stderr.startswith("error: cannot write stdout")
+        assert "Traceback" not in proc.stderr
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_exits_do_not_break_later_calls(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--theta-steps", "x"])
+        assert exc.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, GOLDEN_ARGS["sweep"])
+        assert code == EXIT_OK, err
+        assert out == (GOLDEN / "sweep.json").read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 """Tests for the protocol steps, the shot sampler, and reconstruction."""
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -16,6 +17,7 @@ from qtomo.linalg import cmatrix, is_density, max_abs
 from qtomo.states import (
     PureQubit,
     StokesVector,
+    _pauli_stokes,
     density_from_stokes,
     fidelity,
     pure_density,
@@ -27,6 +29,7 @@ from qtomo.tomography import (
     BOB_PAYOFF,
     _INSTRUMENT,
     _instrument_row,
+    _pure_rows,
     _tomography,
     derive_seed,
     estimate_stokes,
@@ -486,6 +489,43 @@ class TestBatchCore:
         for name in batch._fields[1:]:
             joined = np.concatenate([getattr(a, name) for a in alone])
             assert getattr(batch, name).tobytes() == joined.tobytes(), name
+
+
+CORNER_THETAS = (0.0, HALF_PI, math.pi, 1e-300, 5e-324)
+CORNER_PHIS = (0.0, -0.0, HALF_PI, math.pi, 1.5 * math.pi, 5e-324)
+
+
+class TestPureRows:
+    """`_pure_rows` reads each state as `_pauli_stokes(pure_density(q))` does, in a batch of any size."""
+
+    @staticmethod
+    def assert_rows_match_one_by_one(states):
+        rows = _pure_rows(states)
+        assert rows.shape == (len(states), 3)
+        for q, row in zip(states, rows.tolist()):
+            v = _pauli_stokes(pure_density(q))
+            expected = [v.s1, v.s2, v.s3]
+            assert row == expected, q
+            assert np.signbit(row).tolist() == np.signbit(expected).tolist(), q
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(
+        st.builds(
+            PureQubit,
+            st.one_of(st.sampled_from(CORNER_THETAS), st.floats(0.0, math.pi, allow_nan=False)),
+            st.one_of(st.sampled_from(CORNER_PHIS), st.floats(-10.0, 10.0, allow_nan=False)),
+        ),
+        min_size=1,
+        max_size=64,
+    ))
+    def test_random_batches(self, states):
+        self.assert_rows_match_one_by_one(states)
+
+    def test_corner_grid(self):
+        states = [PureQubit(theta, phi) for theta, phi in itertools.product(CORNER_THETAS, CORNER_PHIS)]
+        self.assert_rows_match_one_by_one(states)
+        for q in states:
+            self.assert_rows_match_one_by_one([q])
 
 
 class TestRunTomography:
