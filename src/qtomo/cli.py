@@ -8,7 +8,12 @@ exactly and repeated seeded runs are byte-identical.
 
 The argument parser is built once per process (`build_parser` is cached),
 so a driver that calls `main` many times in one process pays for it once;
-a sweep reads its grid's pure states in one array pass (`_pure_rows`).
+a sweep reads its grid's pure states in one array pass (`_pure_rows`) and
+samples them in one batch that keeps counts, building no per-step
+`SampleEstimate`. The one emitter, `_dumps`, writes each float, int, str,
+bool or None straight from a table keyed by its exact type and joins each
+container once; numpy scalars and subclasses take an isinstance chain that
+gives them the same text, and CSV cells reuse the same scalar formatter.
 
 Exit codes: 0 success, 2 validation/usage error, 3 I/O error (the --out
 file or stdout cannot be written).
@@ -25,6 +30,7 @@ import math
 import os
 import secrets
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,39 +63,59 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# JSON text of a scalar by its exact type; `_scalar` handles every other scalar.
+_SCALARS = {
+    float: _fmt,
+    int: int.__repr__,
+    str: encode_basestring_ascii,  # what json.dumps returns for a str
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _scalar(x) -> str:
+    """JSON text of a scalar: through `_SCALARS` by exact type, else by isinstance (numpy scalars, subclasses)."""
+    emit = _SCALARS.get(type(x))
+    if emit is not None:
+        return emit(x)
+    if isinstance(x, (int, np.integer)):  # bool and None cannot be subclassed: the table has them
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _fmt(x)
+    return json.dumps(x)
+
+
 def _dumps(obj, level: int = 0) -> str:
-    """Minimal deterministic JSON emitter with 17-significant-digit floats."""
-    pad = "  " * level
-    inner = "  " * (level + 1)
+    """Deterministic JSON with two-space indents and 17-significant-digit floats.
+
+    Scalars of exact type float, int, str, bool and None are emitted straight
+    from `_SCALARS`, without a recursive call; each container is one join.
+    """
+    emit = _SCALARS.get(type(obj))
+    if emit is not None:
+        return emit(obj)
+    pad = "\n" + "  " * level
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{inner}{json.dumps(k)}: {_dumps(v, level + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        items = [
+            f"{encode_basestring_ascii(k) if type(k) is str else json.dumps(k)}: "
+            f"{emit(v) if (emit := _SCALARS.get(type(v))) else _dumps(v, level + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{_dumps(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    return json.dumps(obj)
+        items = [emit(v) if (emit := _SCALARS.get(type(v))) else _dumps(v, level + 1) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return _scalar(obj)
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    return str(v)
+    """A number as the JSON report writes it; anything else as str(v)."""
+    return _scalar(v) if isinstance(v, (int, float, np.integer, np.floating)) else str(v)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

@@ -16,7 +16,9 @@ splitmix-style derivation, so every result is reproducible bit for bit.
 
 One array core, `_tomography`, runs the protocol on n Bloch vectors at once:
 a count draw per (state, step) from the state's seed, then readouts,
-projection and scores as arrays. `run_tomography` is its n = 1 case and a CLI
+projection and scores as arrays. The batch keeps the counts: a row's
+`SampleEstimate`s are built by `_estimate`, which `sample_payoff` uses too,
+only when the row becomes a result. `run_tomography` is its n = 1 case and a CLI
 sweep or trial set is one call; `_pure_rows` reads the batch's pure truths in
 one array pass, equal bit for bit to reading them one at a time. A (1, s) is
 summed elementwise in a fixed order, not as a matrix product, whose rounding
@@ -30,6 +32,7 @@ import math
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -186,6 +189,7 @@ def _instrument_row(sa: Strategy, sb: Strategy, p: PayoffMatrix) -> np.ndarray:
 _INSTRUMENT = np.array([_instrument_row(s.strategy_a, s.strategy_b, s.payoff_a) for s in _PROTOCOL_STEPS])
 _INSTRUMENT.setflags(write=False)
 _LABELS = tuple(step.label for step in _PROTOCOL_STEPS)
+_STEPS = range(len(_LABELS))
 _BLOCH_ORDER = [_LABELS.index(label) for label in ("S1", "S2", "S3")]  # the steps reading s1, s2, s3
 _E3 = np.array([0.0, 0.0, 1.0])
 
@@ -242,14 +246,23 @@ def sample_payoff(
         raise ValueError("outcome probabilities must sum to 1")
     # Rounding can put the normalized sum just above 1, which binomial rejects.
     p_plus = min(float(np.maximum(probs, 0.0)[plus].sum() / probs.sum()), 1.0)
-    return _draw(p_plus, shots, seed, label)
+    return _estimate(_draw(p_plus, shots, seed), shots, seed, label)
 
 
-def _draw(p_plus: float, shots: int, seed: int, label: str) -> SampleEstimate:
-    """One step's estimate from one count draw k ~ Binomial(shots, p_plus); inputs already checked."""
-    k = int(np.random.default_rng(seed).binomial(shots, p_plus))
+def _draw(p_plus: float, shots: int, seed: int) -> int:
+    """One step's count k ~ Binomial(shots, p_plus) of +1 shots, from its own generator; inputs already checked."""
+    return int(np.random.default_rng(seed).binomial(shots, p_plus))
+
+
+def _mean(k: int, shots: int) -> float:
+    """The mean of k outcomes +1 and shots - k outcomes -1."""
+    return (2 * k - shots) / shots
+
+
+def _estimate(k: int, shots: int, seed: int, label: str) -> SampleEstimate:
+    """A step's SampleEstimate from its count k of +1 shots: the one place its value and std error are formed."""
     std_error = 2.0 * math.sqrt(k * (shots - k)) / shots**1.5
-    return SampleEstimate((2 * k - shots) / shots, shots, std_error, seed, label)
+    return SampleEstimate(_mean(k, shots), shots, std_error, seed, label)
 
 
 def _project(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,40 +296,49 @@ def _pure_rows(states) -> np.ndarray:
 
 
 def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
-    """(rho, projected): the density matrix of s, its Bloch vector projected as `_project` does."""
+    """(rho, projected): the density matrix of s, its Bloch vector projected as `_project` does.
+
+    Scaling a Bloch vector beyond the ball onto the sphere gives the physical
+    state nearest (I + s.sigma)/2 in Frobenius norm, the least-squares
+    estimate: that state's eigenvalues are the projection of (1 +- |s|)/2
+    onto the probability simplex, (1, 0), with the eigenvectors kept (Smolin,
+    Gambetta & Smith, PRL 108, 070502 (2012)).
+    """
     (t,), (projected,) = _project(_bloch_rows(s))
     return density_from_stokes(StokesVector(s.s0, *t.tolist())), bool(projected)
 
 
-# A batch of n states: each row's SampleEstimates, then (n, 3) Bloch arrays of the exact and sampled
-# readouts and of the sample projected into the ball (bloch_hat), then (n,) flags and scores.
-_Batch = namedtuple("_Batch", "per_step exact estimate bloch_hat projected fidelity trace_distance")
+# A batch of n states drawn at `shots` per step: n lists of the three steps' +1 counts and of their
+# seeds, in protocol order; (n, 3) Bloch arrays of the exact and sampled readouts and of the sample
+# projected into the ball (bloch_hat); then (n,) flags and scores.
+_Batch = namedtuple("_Batch", "shots counts step_seeds exact estimate bloch_hat projected fidelity trace_distance")
 
 
 def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
     """The protocol on each row of an (n, 3) Bloch array; row i draws step j from derive_seed(seeds[i], j).
 
-    The scores read t back from rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does
-    (s3 as (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
+    The batch keeps counts, not SampleEstimates: only a row turned into a
+    result (`_result`) builds its three. The scores read t back from
+    rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does (s3 as
+    (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
     """
     shots = _check_shots(shots)
     p = _plus_probabilities(truth)
-    per_step = [
-        tuple(_draw(p_j, shots, derive_seed(seed, j), _LABELS[j]) for j, p_j in enumerate(row))
-        for seed, row in zip(seeds, p.tolist())
-    ]
-    estimate = np.array([[steps[j].value for j in _BLOCH_ORDER] for steps in per_step])
+    step_seeds = [list(map(derive_seed, repeat(seed), _STEPS)) for seed in seeds]
+    counts = [list(map(_draw, row, repeat(shots), row_seeds)) for row, row_seeds in zip(p.tolist(), step_seeds)]
+    estimate = np.array([[_mean(row[j], shots) for j in _BLOCH_ORDER] for row in counts])
     t, projected = _project(estimate)
     t_hat = 0.5 * (_E3 + t) - 0.5 * (_E3 - t)  # t as `_pauli_stokes` reads it back from rho_hat
     exact = (2.0 * p - 1.0).take(_BLOCH_ORDER, axis=1)
     fid, dist = _bloch_fidelity(t_hat, truth), _bloch_trace_distance(t_hat, truth)
-    return _Batch(per_step, exact, estimate, t, projected, fid, dist)
+    return _Batch(shots, counts, step_seeds, exact, estimate, t, projected, fid, dist)
 
 
 def _result(batch: _Batch, i: int, **reconstruction) -> TomographyResult:
-    """Row i of a batch as a TomographyResult, with any reconstruction fields given."""
-    est, exact = (StokesVector(1.0, *v[i].tolist()) for v in (batch.estimate, batch.exact))
-    return TomographyResult(est, batch.per_step[i], stokes_exact=exact, **reconstruction)
+    """Row i of a batch as a TomographyResult, SampleEstimates built from its counts, plus any reconstruction fields."""
+    est = StokesVector(1.0, *batch.estimate[i].tolist())
+    per_step = tuple(map(_estimate, batch.counts[i], repeat(batch.shots), batch.step_seeds[i], _LABELS))
+    return TomographyResult(est, per_step, stokes_exact=StokesVector(1.0, *batch.exact[i].tolist()), **reconstruction)
 
 
 def _scored(batch: _Batch, i: int) -> TomographyResult:

@@ -11,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qtomo
-from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, build_parser, main
+import qtomo.tomography
+from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _csv_cell, _dumps, build_parser, main
 from qtomo.states import PureQubit, pure_density
 from qtomo.tomography import derive_seed, exact_stokes, run_tomography
 
@@ -450,3 +453,122 @@ class TestParserReuse:
         code, out, err = run_cli(capsys, GOLDEN_ARGS["sweep"])
         assert code == EXIT_OK, err
         assert out == (GOLDEN / "sweep.json").read_text(encoding="utf-8")
+
+
+class TestLazyPerStep:
+    """A sweep keeps counts; only rows turned into results build `SampleEstimate`s."""
+
+    @pytest.fixture
+    def estimates_built(self, monkeypatch):
+        calls = []
+        original = qtomo.tomography._estimate
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qtomo.tomography, "_estimate", counting)
+        return calls
+
+    def test_sweep_builds_no_sample_estimate(self, capsys, estimates_built):
+        run_json(capsys, ["sweep", "--theta-steps", "5", "--phi-steps", "5", "--seed", "3"])
+        assert estimates_built == []
+
+    def test_each_result_builds_three(self, capsys, estimates_built):
+        run_tomography(PureQubit(0.3, 0.4), 16, 1)
+        assert len(estimates_built) == 3
+        run_json(capsys, ["sample", "--theta", "0.3", "--phi", "0.4", "--trials", "4", "--seed", "3"])
+        assert len(estimates_built) == 3 + 4 * 3
+
+
+# The emitter before scalars were dispatched by exact type, kept as the oracle.
+def _reference_fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _reference_dumps(obj, level: int = 0) -> str:
+    """Minimal deterministic JSON emitter with 17-significant-digit floats."""
+    pad = "  " * level
+    inner = "  " * (level + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(k)}: {_reference_dumps(v, level + 1)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{_reference_dumps(v, level + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_fmt(obj)
+    return json.dumps(obj)
+
+
+def _reference_csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _reference_fmt(v)
+    return str(v)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1)
+_EDGE_TEXT = ('"', "\\", '\\"\n\t\r\x00\x1f\x7f', "caf\u00e9 \u03c8 \U0001f600", "\u2028\u2029")
+json_scalars = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-(2**100), 2**100),
+    st.integers(-(2**100), 2**100).map(_Int),
+    st.floats().map(_Float),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(_EDGE_TEXT),
+)
+json_keys = st.one_of(st.text(), st.sampled_from(_EDGE_TEXT), st.integers())
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(json_keys, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestEmitter:
+    """`_dumps` writes the bytes of the emitter it replaced, for every value a report can hold."""
+
+    @settings(deadline=None, max_examples=250)
+    @given(json_trees)
+    @example({"a": [0.1, -0.0, 5e-324], "b": (np.uint64(2**64 - 1), {}, [], None, True)})
+    def test_matches_the_reference_emitter(self, tree):
+        assert _dumps(tree) == _reference_dumps(tree)
+
+    @settings(deadline=None, max_examples=200)
+    @given(json_scalars)
+    @example(0.1)
+    def test_csv_cells_match_the_reference(self, value):
+        assert _csv_cell(value) == _reference_csv_cell(value)

@@ -7,13 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtomo.game
 import qtomo.tomography
 from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state, payoff_exact
-from qtomo.linalg import cmatrix, is_density, max_abs
+from qtomo.linalg import DEFAULT_TOL, cmatrix, is_density, max_abs
 from qtomo.states import (
     PureQubit,
     StokesVector,
@@ -30,6 +30,7 @@ from qtomo.tomography import (
     _INSTRUMENT,
     _instrument_row,
     _pure_rows,
+    _result,
     _tomography,
     derive_seed,
     estimate_stokes,
@@ -474,6 +475,44 @@ class TestReconstruct:
             assert is_density(rho_hat, 1e-9)
 
 
+def _nearest_state(t):
+    """The Frobenius-nearest density matrix to (I + t.sigma)/2, by eigenvalues projected onto the simplex.
+
+    The eigenvalues are sorted, shifted by the one constant that makes the
+    positive part sum to 1, and clipped at 0 (Smolin, Gambetta & Smith, PRL
+    108, 070502 (2012)); the eigenvectors are kept.
+    """
+    t1, t2, t3 = t
+    m = 0.5 * np.array([[1.0 + t3, t1 - 1j * t2], [t1 + 1j * t2, 1.0 - t3]])
+    lam, vecs = np.linalg.eigh(m)
+    desc = np.sort(lam)[::-1]
+    cumulative = np.cumsum(desc)
+    k = max(j for j in range(1, 3) if desc[j - 1] - (cumulative[j - 1] - 1.0) / j > 0)
+    projected = np.maximum(lam - (cumulative[k - 1] - 1.0) / k, 0.0)
+    return (vecs * projected) @ vecs.conj().T
+
+
+off_boundary_vectors = st.one_of(
+    st.tuples(*[st.floats(-1.5, 1.5, allow_nan=False)] * 3),
+    st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 3),
+).filter(lambda v: not 1.0 < math.sqrt(sum(c * c for c in v)) <= 1.0 + 2 * DEFAULT_TOL)
+
+
+class TestProjectionIsLeastSquares:
+    """`reconstruct`'s radial projection is the Frobenius-nearest physical state."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(off_boundary_vectors)
+    @example((0.0, 0.0, 0.0))
+    @example((1.2, 0.0, 0.0))
+    @example((0.0, 0.0, -1.0))
+    @example((3.0, -4.0, 12.0))
+    def test_matches_the_eigenvalue_oracle(self, t):
+        rho_hat, projected = reconstruct(StokesVector(1.0, *t))
+        assert projected == (math.sqrt(sum(c * c for c in t)) > 1.0 + DEFAULT_TOL)
+        assert max_abs(rho_hat - _nearest_state(t)) <= 1e-12
+
+
 class TestBatchCore:
     """`_tomography` gives each state the same numbers in a batch of any size."""
 
@@ -485,8 +524,12 @@ class TestBatchCore:
         seeds = [seed for _, seed in rows]
         batch = _tomography(truth, shots, seeds)
         alone = [_tomography(truth[i : i + 1], shots, [seed]) for i, seed in enumerate(seeds)]
-        assert batch.per_step == [a.per_step[0] for a in alone]
-        for name in batch._fields[1:]:
+        assert batch.shots == shots and all(a.shots == shots for a in alone)
+        for i, a in enumerate(alone):
+            assert batch.counts[i] == a.counts[0], i
+            assert batch.step_seeds[i] == a.step_seeds[0] == [derive_seed(seeds[i], j) for j in range(3)], i
+            assert _result(batch, i).per_step == _result(a, 0).per_step, i
+        for name in ("exact", "estimate", "bloch_hat", "projected", "fidelity", "trace_distance"):
             joined = np.concatenate([getattr(a, name) for a in alone])
             assert getattr(batch, name).tobytes() == joined.tobytes(), name
 
