@@ -36,6 +36,7 @@ import numpy as np
 
 from .states import PureQubit, StokesVector, _pauli_stokes, pure_density, stokes_of
 from .tomography import (
+    SAMPLER,
     _pure_rows,
     _scored,
     _tomography,
@@ -276,7 +277,7 @@ def _cmd_sample(args):
         ]
     report = {
         "command": "sample",
-        "inputs": {"theta": q.theta, "phi": q.phi, "shots": args.shots, "trials": args.trials},
+        "inputs": {"theta": q.theta, "phi": q.phi, "shots": args.shots, "trials": args.trials, "sampler": SAMPLER},
         "steps": steps,
         "stokes": _stokes_json(first.stokes_est),
         "reconstruction": {
@@ -318,7 +319,9 @@ def _cmd_sweep(args):
     ]
     report = {
         "command": "sweep",
-        "inputs": {"theta_steps": args.theta_steps, "phi_steps": args.phi_steps, "shots": args.shots},
+        "inputs": {
+            "theta_steps": args.theta_steps, "phi_steps": args.phi_steps, "shots": args.shots, "sampler": SAMPLER,
+        },
         "steps": cells,
         "stokes": None,
         "reconstruction": None,

@@ -3,7 +3,8 @@
 The unknown qubit rides in the second tensor slot: the known ancilla |0><0|
 is appended as the first factor, player A's unitary acts on the ancilla and
 player B's on the unknown qubit. A payoff is the expectation tr(P rho_f) of
-a diagonal payoff operator P in the evolved state, and the same number is
+a diagonal payoff operator P in the evolved state (`measurement_distribution`
+gives its four outcome probabilities), and the same number is
 available in closed form as a trigonometric function of the strategy angles
 and the state angles. The two routes agree to ~1e-12 and are tested against
 each other. This module is the paper's derivation and the tests' oracle: the
@@ -101,6 +102,15 @@ def evolve(rho_in: np.ndarray, sa: Strategy, sb: Strategy) -> GameRun:
     u = kron(strategy_unitary(sa), strategy_unitary(sb))
     rho_f = cmatrix(u @ rho_in @ u.conj().T)
     return GameRun(rho_in=rho_in, strategy_a=sa, strategy_b=sb, rho_f=rho_f)
+
+
+def measurement_distribution(run: GameRun) -> np.ndarray:
+    """Computational-basis outcome probabilities: the clamped real diagonal of rho_f.
+
+    The imaginary part is rounding plus rho_in's Hermiticity residue, which
+    `evolve`'s check bounds by DEFAULT_TOL.
+    """
+    return np.clip(np.diagonal(run.rho_f).real, 0.0, 1.0)
 
 
 def payoff_exact(run: GameRun, p: PayoffMatrix) -> float:

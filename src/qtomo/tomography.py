@@ -10,20 +10,25 @@ Step k pays Alice +1 with probability P(+1) = a_k . (1, s1, s2, s3); the rows
 a_k, derived at import from the steps' strategies and payoffs, form the 3x4
 instrument matrix, so no 4x4 state is built (the 4x4 route in `game` is the
 paper's derivation and the tests' oracle). A step's m-shot estimate
-(2k - m)/m needs one draw of the count k ~ Binomial(m, P(+1)) of +1 shots,
-and all randomness flows from one 64-bit master seed through a
-splitmix-style derivation, so every result is reproducible bit for bit.
+(2k - m)/m needs one draw of the count k ~ Binomial(m, P(+1)) of +1 shots.
+All randomness flows from one 64-bit master seed through a splitmix-style
+derivation, so every result is reproducible bit for bit.
+
+The sampler, `SAMPLER` = "binomial-count-v2", gives each state one
+generator: state seed s draws its three counts, in protocol order, from
+`np.random.default_rng([derive_seed(s, 0), derive_seed(s, 1),
+derive_seed(s, 2)])`. A step's reported `seed` is its word of that
+generator's entropy, so the three step seeds together reproduce the draw.
 
 One array core, `_tomography`, runs the protocol on n Bloch vectors at once:
-a count draw per (state, step) from the state's seed, then readouts,
-projection and scores as arrays. The batch keeps the counts: a row's
-`SampleEstimate`s are built by `_estimate`, which `sample_payoff` uses too,
-only when the row becomes a result. `run_tomography` is its n = 1 case and a CLI
-sweep or trial set is one call; `_pure_rows` reads the batch's pure truths in
-one array pass, equal bit for bit to reading them one at a time. A (1, s) is
-summed elementwise in a fixed order, not as a matrix product, whose rounding
-depends on the number of rows: a state's numbers do not depend on the size of
-its batch.
+one generator per state, then readouts, projection and scores as arrays. The
+batch keeps the counts: a row's `SampleEstimate`s are built by `_estimate`
+only when the row becomes a result. `run_tomography` is its n = 1 case and a
+CLI sweep or trial set is one call; `_pure_rows` reads the batch's pure
+truths in one array pass, equal bit for bit to reading them one at a time.
+A (1, s) is summed elementwise in a fixed order, not as a matrix product,
+whose rounding depends on the number of rows: a state's numbers do not
+depend on the size of its batch.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .game import GameRun, PayoffMatrix, Strategy, strategy_unitary
+from .game import PayoffMatrix, Strategy, strategy_unitary
 from .linalg import DEFAULT_TOL
 from .states import (
     PAULIS,
@@ -55,6 +60,10 @@ HALF_PI = math.pi / 2.0
 
 ALICE_PAYOFF = PayoffMatrix(1.0, -1.0, 1.0, -1.0)
 BOB_PAYOFF = PayoffMatrix(-1.0, 1.0, -1.0, 1.0)
+
+# The count sampler's id, recorded in the sample and sweep reports: one
+# generator per state, seeded with its three step seeds.
+SAMPLER = "binomial-count-v2"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -84,7 +93,10 @@ class SampleEstimate:
     """Finite-shot estimate of a payoff: the mean of m outcomes, each +-1.
 
     std_error is the population standard deviation of the outcomes divided by
-    sqrt(m), which for +-1 outcomes never exceeds 1/sqrt(m).
+    sqrt(m), which for +-1 outcomes never exceeds 1/sqrt(m). seed is the
+    step's derive_seed(state seed, step index): one of the three entropy
+    words of the generator that draws its state's three counts, not a
+    generator of its own.
     """
 
     value: float
@@ -213,45 +225,14 @@ def exact_stokes(rho: np.ndarray) -> StokesVector:
     return StokesVector(1.0, alice["S1"], alice["S2"], alice["S3"])
 
 
-def measurement_distribution(run: GameRun) -> np.ndarray:
-    """Computational-basis outcome probabilities: the clamped real diagonal of rho_f.
+def _draw(p_row: list[float], shots: int, step_seeds: list[int]) -> list[int]:
+    """A state's three counts k ~ Binomial(shots, P(+1)) of +1 shots, in protocol order.
 
-    The imaginary part is rounding plus rho_in's Hermiticity residue, which
-    `evolve`'s check bounds by DEFAULT_TOL; `sample_payoff` checks the sum.
+    One generator per state, seeded with the state's three step seeds; three
+    scalar draws cost less than one array draw. Inputs are already checked.
     """
-    return np.clip(np.diagonal(run.rho_f).real, 0.0, 1.0)
-
-
-def sample_payoff(
-    probs: np.ndarray, p: PayoffMatrix, shots: int, seed: int, label: str = ""
-) -> SampleEstimate:
-    """Monte Carlo payoff estimate from m = shots seeded computational-basis draws.
-
-    probs holds the probabilities of the outcomes |00>, |01>, |10>, |11>, as
-    returned by `measurement_distribution`; entries within DEFAULT_TOL below
-    zero count as zero. Payoff entries must be exactly +-1, so the estimate is
-    one count draw, as in `estimate_stokes`, and fixed inputs reproduce it.
-    """
-    shots = _check_shots(shots)
-    seed = _check_seed(seed)
-    plus = _plus_outcomes(p)
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (4,):
-        raise ValueError(f"expected 4 outcome probabilities, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
-        raise ValueError("outcome probabilities must be finite")
-    if probs.min() < -DEFAULT_TOL:
-        raise ValueError("outcome probabilities must be non-negative")
-    if abs(float(probs.sum()) - 1.0) > DEFAULT_TOL:
-        raise ValueError("outcome probabilities must sum to 1")
-    # Rounding can put the normalized sum just above 1, which binomial rejects.
-    p_plus = min(float(np.maximum(probs, 0.0)[plus].sum() / probs.sum()), 1.0)
-    return _estimate(_draw(p_plus, shots, seed), shots, seed, label)
-
-
-def _draw(p_plus: float, shots: int, seed: int) -> int:
-    """One step's count k ~ Binomial(shots, p_plus) of +1 shots, from its own generator; inputs already checked."""
-    return int(np.random.default_rng(seed).binomial(shots, p_plus))
+    rng = np.random.default_rng(step_seeds)
+    return [int(rng.binomial(shots, p)) for p in p_row]
 
 
 def _mean(k: int, shots: int) -> float:
@@ -315,7 +296,10 @@ _Batch = namedtuple("_Batch", "shots counts step_seeds exact estimate bloch_hat 
 
 
 def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
-    """The protocol on each row of an (n, 3) Bloch array; row i draws step j from derive_seed(seeds[i], j).
+    """The protocol on each row of an (n, 3) Bloch array; row i draws from the generator of its step seeds.
+
+    Row i's step seeds are derive_seed(seeds[i], j) for the steps j, and
+    `_draw` seeds the row's one generator with all three.
 
     The batch keeps counts, not SampleEstimates: only a row turned into a
     result (`_result`) builds its three. The scores read t back from
@@ -325,7 +309,7 @@ def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
     shots = _check_shots(shots)
     p = _plus_probabilities(truth)
     step_seeds = [list(map(derive_seed, repeat(seed), _STEPS)) for seed in seeds]
-    counts = [list(map(_draw, row, repeat(shots), row_seeds)) for row, row_seeds in zip(p.tolist(), step_seeds)]
+    counts = list(map(_draw, p.tolist(), repeat(shots), step_seeds))
     estimate = np.array([[_mean(row[j], shots) for j in _BLOCH_ORDER] for row in counts])
     t, projected = _project(estimate)
     t_hat = 0.5 * (_E3 + t) - 0.5 * (_E3 - t)  # t as `_pauli_stokes` reads it back from rho_hat

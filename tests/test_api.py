@@ -77,8 +77,8 @@ def test_src_has_no_assert_statements():
 
 
 def test_one_generator_call_site():
-    # Every draw in the package comes from one generator site, so a batch path
-    # cannot grow a second sampler beside the one behind sample_payoff.
+    # Every draw in the package comes from one generator site, the one in the
+    # core's per-state `_draw`, so no path can grow a second sampler beside it.
     sites = []
     for path in sorted(Path(qtomo.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

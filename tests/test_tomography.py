@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qtomo.game
 import qtomo.tomography
-from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state, payoff_exact
+from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state, measurement_distribution, payoff_exact
 from qtomo.linalg import DEFAULT_TOL, cmatrix, is_density, max_abs
 from qtomo.states import (
     PureQubit,
@@ -28,18 +28,18 @@ from qtomo.tomography import (
     ALICE_PAYOFF,
     BOB_PAYOFF,
     _INSTRUMENT,
+    _LABELS,
     _instrument_row,
+    _plus_probabilities,
     _pure_rows,
     _result,
     _tomography,
     derive_seed,
     estimate_stokes,
     exact_stokes,
-    measurement_distribution,
     protocol_steps,
     reconstruct,
     run_tomography,
-    sample_payoff,
     step_payoffs,
 )
 
@@ -65,10 +65,6 @@ def _step(label):
 def _run(q, label):
     step = _step(label)
     return evolve(initial_state(pure_density(q)), step.strategy_a, step.strategy_b)
-
-
-def _probs(q, label):
-    return measurement_distribution(_run(q, label))
 
 
 class TestProtocolSteps:
@@ -220,88 +216,53 @@ class TestMeasurementDistribution:
 
 
 class TestSamplePayoff:
+    """A step's sampled payoff, drawn through the core's rows (`_tomography`)."""
+
     def test_deterministic_outcome_at_the_pole(self):
-        probs = _probs(PureQubit(0.0, 0.0), "S3")
+        s3 = _LABELS.index("S3")
         for seed in (0, 1, 999):
-            est = sample_payoff(probs, ALICE_PAYOFF, 100, seed)
+            est = run_tomography(PureQubit(0.0, 0.0), 100, seed).per_step[s3]
             assert est.value == 1.0
             assert est.std_error == 0.0
 
     def test_bit_for_bit_reproducible(self):
-        probs = _probs(PureQubit(0.8, 1.7), "S2")
-        a = sample_payoff(probs, ALICE_PAYOFF, 5000, 321, label="S2")
-        b = sample_payoff(probs, ALICE_PAYOFF, 5000, 321, label="S2")
+        truth = _pure_rows([PureQubit(0.8, 1.7)])
+        a = _result(_tomography(truth, 5000, [321]), 0).per_step
+        b = _result(_tomography(truth, 5000, [321]), 0).per_step
         assert a == b
 
     def test_concentration_near_certain_outcome(self):
         # S2 reads sin(theta) sin(phi) = 1 here, so nearly every draw is +1.
-        probs = _probs(PureQubit(HALF_PI, HALF_PI), "S2")
-        shots = 10_000
-        hits = sum(
-            abs(sample_payoff(probs, ALICE_PAYOFF, shots, derive_seed(31415, k)).value - 1.0)
-            <= 5.0 / math.sqrt(shots)
-            for k in range(100)
-        )
+        shots, s2 = 10_000, _LABELS.index("S2")
+        batch = _tomography(_pure_rows([PureQubit(HALF_PI, HALF_PI)] * 100), shots,
+                            [derive_seed(31415, k) for k in range(100)])
+        hits = sum(abs((2 * row[s2] - shots) / shots - 1.0) <= 5.0 / math.sqrt(shots) for row in batch.counts)
         assert hits >= 95
 
     def test_std_error_bound_and_small_m(self):
         rng = np.random.default_rng(13)
         for shots in (1, 2, 3, 7, 64):
-            probs = _probs(PureQubit(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)), "S1")
-            est = sample_payoff(probs, ALICE_PAYOFF, shots, int(rng.integers(0, 2**64, dtype=np.uint64)))
-            assert abs(est.value) <= 1.0
-            assert 0.0 <= est.std_error <= 1.0 / math.sqrt(shots) + 1e-12
-
-    def test_validation(self):
-        probs = _probs(PureQubit(0.3, 0.1), "S1")
-        with pytest.raises(ValueError):
-            sample_payoff(probs, ALICE_PAYOFF, 0, 1)
-        with pytest.raises(ValueError):
-            sample_payoff(probs, PayoffMatrix(2.0, -1.0, 1.0, -1.0), 10, 1)
-        with pytest.raises(ValueError):
-            sample_payoff(probs, ALICE_PAYOFF, 10, -1)
-        with pytest.raises(ValueError):
-            sample_payoff(probs, ALICE_PAYOFF, 10, 2**64)
-
-    def test_shots_must_be_an_integer(self):
-        probs = _probs(PureQubit(1.1, 2.3), "S1")
-        with pytest.raises(TypeError):
-            sample_payoff(probs, ALICE_PAYOFF, 2.5, 1)
-        with pytest.raises(TypeError):
-            sample_payoff(probs, ALICE_PAYOFF, 16.0, 1)
-        est = sample_payoff(probs, ALICE_PAYOFF, np.int64(16), np.uint64(7))
-        assert type(est.shots) is int and type(est.seed) is int
-        assert est == sample_payoff(probs, ALICE_PAYOFF, 16, 7)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="4 outcome"):
-            sample_payoff([0.5, 0.5], ALICE_PAYOFF, 10, 1)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            sample_payoff([np.nan, 0.5, 0.5, 0.0], ALICE_PAYOFF, 10, 1)
-
-    def test_rejects_negative_entry(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            sample_payoff([1.2, -0.2, 0.0, 0.0], ALICE_PAYOFF, 10, 1)
-        # within tol of zero counts as zero, so outcome |01> never shows
-        est = sample_payoff([1.0 + 5e-10, -5e-10, 0.0, 0.0], ALICE_PAYOFF, 100, 1)
-        assert est.value == 1.0
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            sample_payoff([0.5, 0.5, 0.5, 0.0], ALICE_PAYOFF, 10, 1)
+            q = PureQubit(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            for est in run_tomography(q, shots, int(rng.integers(0, 2**64, dtype=np.uint64))).per_step:
+                assert abs(est.value) <= 1.0
+                assert 0.0 <= est.std_error <= 1.0 / math.sqrt(shots) + 1e-12
 
     def test_memory_does_not_grow_with_shots(self):
-        probs = _probs(PureQubit(1.1, 2.3), "S1")
-        sample_payoff(probs, ALICE_PAYOFF, 1, 7)  # the first draw imports numpy's generator modules
+        truth = _pure_rows([PureQubit(1.1, 2.3)])
+        _tomography(truth, 1, [7])  # the first draw imports numpy's generator modules
         tracemalloc.start()
         try:
-            sample_payoff(probs, ALICE_PAYOFF, 1_000_000, 7)
+            _tomography(truth, 1_000_000, [7])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+def _step_distributions(vec):
+    """Each step's four outcome probabilities, in protocol order, from the 4x4 appended-state route."""
+    rho_in = initial_state(density_from_stokes(StokesVector(1.0, *vec)))
+    return [measurement_distribution(evolve(rho_in, s.strategy_a, s.strategy_b)) for s in protocol_steps()]
 
 
 def _inverse_cdf_count(probs, shots, seed):
@@ -311,25 +272,36 @@ def _inverse_cdf_count(probs, shots, seed):
     return int(np.count_nonzero(np.array(ALICE_PAYOFF.entries())[idx] == 1.0))
 
 
-def _sample_payoff_count(probs, shots, seed):
-    return round((sample_payoff(probs, ALICE_PAYOFF, shots, seed).value + 1.0) * shots / 2.0)
+def _reference_counts(vec, shots, seeds):
+    """Per-shot reference counts: a row per seed, step j drawn from derive_seed(seed, j)'s own generator."""
+    dists = _step_distributions(vec)
+    return np.array([[_inverse_cdf_count(d, shots, derive_seed(seed, j)) for j, d in enumerate(dists)] for seed in seeds])
+
+
+def _core_counts(vec, shots, seeds):
+    """The core's counts: a row per seed, each row's three drawn from that state's one generator."""
+    return np.array(_tomography(np.array([vec] * len(seeds)), shots, seeds).counts)
 
 
 class TestCountSamplerEquivalence:
-    """The count draw and the per-shot reference against the exact binomial law.
+    """The core's count draw and a per-shot reference against the exact binomial law.
 
-    Over N seeds derive_seed(77, i), each sampler's +1 counts k are compared
-    with the Binomial(m, p_plus) pmf by Pearson's chi-square, adjacent bins
-    merged until each expects at least 5 counts. CHI2_CRITICAL holds the
-    0.999 quantile of the chi-square law for each case's degrees of freedom.
+    Over N seeds derive_seed(77, i), each step's +1 counts k are compared
+    with the Binomial(m, P(+1)) pmf, P(+1) read from the 4x4 oracle, by
+    Pearson's chi-square, adjacent bins merged until each expects at least 5
+    counts. CHI2_CRITICAL holds the 0.999 quantile of the chi-square law for
+    each degrees of freedom that a case's steps reach.
     """
 
     N = 4000
-    CHI2_CRITICAL = {4: 18.467, 11: 31.264, 19: 43.820}
+    CHI2_CRITICAL = {4: 18.467, 10: 29.588, 11: 31.264, 16: 39.252, 17: 40.790, 18: 42.312, 19: 43.820, 22: 48.268}
+    # Bloch vector and shots per step. "four outcomes": a mixed state whose S2 and S1
+    # steps spread over all four outcomes; "near certain": S1 pays +1 with probability
+    # 0.98; "generic S1 step": the pure state PureQubit(1.1, 2.3).
     CASES = {
-        "four outcomes": (lambda: np.array([0.1, 0.2, 0.3, 0.4]), 16),
-        "near certain": (lambda: np.array([0.97, 0.01, 0.01, 0.01]), 32),
-        "generic S1 step": (lambda: _probs(PureQubit(1.1, 2.3), "S1"), 64),
+        "four outcomes": ((-0.2, 0.3, -0.5), 16),
+        "near certain": ((0.96, 0.1, -0.2), 32),
+        "generic S1 step": (tuple(_pure_rows([PureQubit(1.1, 2.3)])[0].tolist()), 64),
     }
 
     def _chi_square(self, counts, m, p):
@@ -346,14 +318,22 @@ class TestCountSamplerEquivalence:
         return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("draw", [_sample_payoff_count, _inverse_cdf_count], ids=["count", "reference"])
+    @pytest.mark.parametrize("draw", [_core_counts, _reference_counts], ids=["count", "reference"])
     def test_counts_follow_the_binomial_law(self, case, draw):
-        make_probs, m = self.CASES[case]
-        probs = make_probs()
-        p_plus = float((probs[0] + probs[2]) / probs.sum())
-        counts = [draw(probs, m, derive_seed(77, i)) for i in range(self.N)]
-        stat, dof = self._chi_square(counts, m, p_plus)
-        assert stat <= self.CHI2_CRITICAL[dof], (case, stat, dof)
+        vec, m = self.CASES[case]
+        counts = draw(vec, m, [derive_seed(77, i) for i in range(self.N)])
+        assert counts.shape == (self.N, 3)
+        for j, probs in enumerate(_step_distributions(vec)):
+            p_plus = float((probs[0] + probs[2]) / probs.sum())
+            stat, dof = self._chi_square(counts[:, j], m, p_plus)
+            assert stat <= self.CHI2_CRITICAL[dof], (case, _LABELS[j], stat, dof)
+
+    def test_counts_of_a_row_are_independent(self):
+        # One generator draws a row's three counts; at a generic state no pair may correlate.
+        counts = _core_counts(self.CASES["generic S1 step"][0], 64, [derive_seed(77, i) for i in range(self.N)])
+        r = np.corrcoef(counts.T)
+        for i, j in itertools.combinations(range(3), 2):
+            assert abs(r[i, j]) <= 4.0 / math.sqrt(self.N), (i, j, r[i, j])
 
 
 class TestDeriveSeed:
@@ -574,11 +554,15 @@ class TestPureRows:
 class TestRunTomography:
     def test_pole_state(self):
         # S3 sampling at the pole is deterministic, so s3 comes out exactly 1;
-        # the other two steps are fair coins there, so after projection the
-        # fidelity sits just below 1 rather than at 1.
-        res = run_tomography(PureQubit(0.0, 0.0), 1000, 7)
+        # the other two steps are fair coins there, so the estimate leaves the
+        # ball and the fidelity is that of its radial projection, (1 + 1/|s|)/2.
+        # Each fair-coin step lies within 6 sigma = 6/sqrt(m) of 0, so
+        # 1 - fidelity ~ (s1^2 + s2^2)/4 stays within 18/m.
+        shots = 1000
+        res = run_tomography(PureQubit(0.0, 0.0), shots, 7)
         assert res.stokes_est.s3 == 1.0
-        assert res.fidelity >= 0.999
+        assert res.fidelity == (1.0 + 1.0 / res.stokes_est.bloch_norm()) / 2.0
+        assert 1.0 - res.fidelity <= 18.0 / shots
         assert is_density(res.rho_hat, 1e-9)
 
     def test_reproducible(self):
@@ -590,26 +574,26 @@ class TestRunTomography:
         np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
 
     # Per-step (label, value, std_error) of run_tomography(q, shots, 20240601),
-    # recorded from the count sampler, one binomial draw per step. A
-    # deliberate sampler change updates them.
+    # recorded from sampler binomial-count-v2: one generator per state, seeded
+    # with its three step seeds. A deliberate sampler change updates them.
     SEED_PINS = {
-        ("pole", 16): [("S2", 0.0, 0.25), ("S1", 0.0, 0.25), ("S3", 1.0, 0.0)],
+        ("pole", 16): [("S2", 0.0, 0.25), ("S1", 0.25, 0.24206145913796356), ("S3", 1.0, 0.0)],
         ("pole", 4096): [
-            ("S2", 0.00146484375, 0.015624983236184664),
-            ("S1", -0.01416015625, 0.015623433436897658),
+            ("S2", -0.01611328125, 0.015622971447751712),
+            ("S1", -0.01513671875, 0.015623209895468414),
             ("S3", 1.0, 0.0),
         ],
-        ("equator", 16): [("S2", 1.0, 0.0), ("S1", 0.0, 0.25), ("S3", 0.25, 0.24206145913796356)],
+        ("equator", 16): [("S2", 1.0, 0.0), ("S1", -0.25, 0.24206145913796356), ("S3", -0.375, 0.23175620272173947)],
         ("equator", 4096): [
             ("S2", 1.0, 0.0),
-            ("S1", 0.01416015625, 0.015623433436897658),
-            ("S3", 0.01123046875, 0.015624014629645504),
+            ("S1", -0.02001953125, 0.015621868579718768),
+            ("S3", 0.00830078125, 0.01562446168627886),
         ],
-        ("generic", 16): [("S2", 0.75, 0.16535945694153692), ("S1", -0.625, 0.19515618744994995), ("S3", 0.75, 0.16535945694153692)],
+        ("generic", 16): [("S2", 0.625, 0.19515618744994995), ("S1", -0.75, 0.16535945694153692), ("S3", 0.125, 0.24803918541230538)],
         ("generic", 4096): [
-            ("S2", 0.6650390625, 0.011668883959849706),
-            ("S1", -0.58251953125, 0.012700261013560643),
-            ("S3", 0.46337890625, 0.013846253911208993),
+            ("S2", 0.65234375, 0.011842550564223725),
+            ("S1", -0.57958984375, 0.012732942912399032),
+            ("S3", 0.4345703125, 0.014072467331297751),
         ],
     }
     PIN_STATES = {"pole": PureQubit(0.0, 0.0), "equator": PureQubit(HALF_PI, HALF_PI), "generic": PureQubit(1.1, 2.3)}
@@ -618,6 +602,19 @@ class TestRunTomography:
         for (name, shots), expected in self.SEED_PINS.items():
             res = run_tomography(self.PIN_STATES[name], shots, 20240601)
             assert [(e.step_label, e.value, e.std_error) for e in res.per_step] == expected, (name, shots)
+
+    def test_counts_follow_the_documented_recipe(self):
+        # A state seeded s draws its three counts, in protocol order, from
+        # default_rng([derive_seed(s, 0), derive_seed(s, 1), derive_seed(s, 2)]).
+        assert qtomo.tomography.SAMPLER == "binomial-count-v2"
+        for k, (q, shots) in enumerate(itertools.product(self.PIN_STATES.values(), (1, 16, 4096, 10**6))):
+            seed = derive_seed(2024, k)
+            res = run_tomography(q, shots, seed)
+            rng = np.random.default_rng([derive_seed(seed, j) for j in range(3)])
+            p_plus = _plus_probabilities(_pure_rows([q]))[0].tolist()
+            expected = [int(rng.binomial(shots, p)) for p in p_plus]
+            assert [round((e.value + 1.0) * shots / 2.0) for e in res.per_step] == expected, (q, shots)
+            assert [e.seed for e in res.per_step] == [derive_seed(seed, j) for j in range(3)]
 
     def test_checks_the_true_state_once(self, is_density_calls):
         for k, q in enumerate(self.PIN_STATES.values()):
