@@ -10,10 +10,12 @@ The argument parser is built once per process (`build_parser` is cached),
 so a driver that calls `main` many times in one process pays for it once;
 a sweep reads its grid's pure states in one array pass (`_pure_rows`) and
 samples them in one batch that keeps counts, building no per-step
-`SampleEstimate`. The one emitter, `_dumps`, writes each float, int, str,
-bool or None straight from a table keyed by its exact type and joins each
-container once; numpy scalars and subclasses take an isinstance chain that
-gives them the same text, and CSV cells reuse the same scalar formatter.
+`SampleEstimate`; `exact` and `bloch` read through the one exact readout,
+`_readout`. No command eigen-checks a state it built or `PureQubit` checked.
+The one emitter, `_dumps`, writes each float, int, str, bool or None straight
+from a table keyed by its exact type and joins each container once; numpy
+scalars and subclasses take an isinstance chain that gives them the same
+text, and CSV cells reuse the same scalar formatter.
 
 Exit codes: 0 success, 2 validation/usage error, 3 I/O error (the --out
 file or stdout cannot be written).
@@ -34,18 +36,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .states import PureQubit, StokesVector, _pauli_stokes, pure_density, stokes_of
-from .tomography import (
-    SAMPLER,
-    _pure_rows,
-    _scored,
-    _tomography,
-    derive_seed,
-    exact_stokes,
-    protocol_steps,
-    reconstruct,
-    step_payoffs,
-)
+from .states import PureQubit, StokesVector, _bloch_rows, _pauli_stokes, _pure_rows, pure_density
+from .tomography import SAMPLER, _readout, _scored, _tomography, derive_seed, protocol_steps, reconstruct
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,12 +142,9 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("QTOMO_SEED")
     if env is not None:
         try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"QTOMO_SEED must be an integer, got {env!r}")
-        if not 0 <= value <= _U64_MAX:
-            raise ValueError("QTOMO_SEED must fit in an unsigned 64-bit integer")
-        return value
+            return _u64(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"QTOMO_SEED: {exc}") from None
     return secrets.randbits(64)
 
 
@@ -175,11 +164,7 @@ def _rho_json(rho: np.ndarray) -> list:
 
 
 def _rho_cells(rho: np.ndarray) -> list[float]:
-    out = []
-    for row in np.asarray(rho):
-        for z in row:
-            out.extend([float(z.real), float(z.imag)])
-    return out
+    return [x for row in _rho_json(rho) for cell in row for x in cell]
 
 
 _RHO_COLUMNS = [
@@ -190,14 +175,14 @@ _RHO_COLUMNS = [
 
 def _cmd_exact(args):
     q = _angles(args)
-    rho = pure_density(q)
-    payoffs = step_payoffs(rho)
-    by_label = {p.label: p for p in payoffs}
-    exact = StokesVector(1.0, by_label["S1"].alice, by_label["S2"].alice, by_label["S3"].alice)
-    reference = _pauli_stokes(rho)  # step_payoffs has checked rho
+    # Unchecked, as PureQubit has checked q; read off the matrix, so that the
+    # residual keeps s0 = tr rho, which can sit one ulp below 1.
+    reference = _pauli_stokes(pure_density(q))
+    readout = _readout(_bloch_rows(reference))
+    exact = StokesVector(1.0, *readout.exact[0].tolist())
     residual = max(abs(getattr(exact, k) - getattr(reference, k)) for k in ("s0", "s1", "s2", "s3"))
     steps = []
-    for i, (step, pay) in enumerate(zip(protocol_steps(), payoffs)):
+    for i, (step, a) in enumerate(zip(protocol_steps(), readout.alice[0].tolist())):
         steps.append(
             {
                 "step": i + 1,
@@ -206,8 +191,8 @@ def _cmd_exact(args):
                 "alpha_a": step.strategy_a.alpha,
                 "beta_b": step.strategy_b.beta,
                 "alpha_b": step.strategy_b.alpha,
-                "alice": pay.alice,
-                "bob": pay.bob,
+                "alice": a,
+                "bob": -a,
             }
         )
     report = {
@@ -222,9 +207,7 @@ def _cmd_exact(args):
     header = ["theta", "phi", "s1", "s2", "s3",
               "alice_s1", "bob_s1", "alice_s2", "bob_s2", "alice_s3", "bob_s3", "residual"]
     row = [q.theta, q.phi, exact.s1, exact.s2, exact.s3,
-           by_label["S1"].alice, by_label["S1"].bob,
-           by_label["S2"].alice, by_label["S2"].bob,
-           by_label["S3"].alice, by_label["S3"].bob, residual]
+           exact.s1, -exact.s1, exact.s2, -exact.s2, exact.s3, -exact.s3, residual]
     return report, header, [row]
 
 
@@ -339,7 +322,7 @@ def _cmd_reconstruct(args):
         "command": "reconstruct",
         "inputs": {"s1": args.s1, "s2": args.s2, "s3": args.s3},
         "steps": None,
-        "stokes": _stokes_json(stokes_of(rho_hat)),
+        "stokes": _stokes_json(_pauli_stokes(rho_hat)),  # reconstruct built a valid rho_hat
         "reconstruction": {
             "rho": _rho_json(rho_hat),
             "projected": projected,
@@ -355,7 +338,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_bloch(args):
     q = _angles(args)
-    s = exact_stokes(pure_density(q))
+    s = StokesVector(1.0, *_readout(_pure_rows([q])).exact[0].tolist())
     # Each step's plane pins one Bloch coordinate (x = s1, y = s2, z = s3);
     # the three planes meet at the Bloch point.
     point = [s.s1, s.s2, s.s3]

@@ -23,22 +23,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def cmatrix(entries) -> np.ndarray:
-    """Build a validated, read-only complex matrix of dimension 2 or 4."""
-    a = np.array(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in _SUPPORTED_DIMS:
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return _freeze(a)
-
-
 def _dim_of(a: np.ndarray) -> int:
     """Matrix dimension (2 or 4); rejects any other shape."""
     shape = getattr(a, "shape", None)
     if getattr(a, "ndim", 0) != 2 or shape[0] != shape[1] or shape[0] not in _SUPPORTED_DIMS:
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {shape}")
     return shape[0]
+
+
+def cmatrix(entries) -> np.ndarray:
+    """Build a validated, read-only complex matrix of dimension 2 or 4."""
+    a = np.array(entries, dtype=np.complex128)
+    _dim_of(a)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return _freeze(a)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ rho = (1/2) sum_i s_i sigma_i with s0 = 1; the real coefficients
 (s1, s2, s3) form the Bloch vector, which sits on the unit sphere for pure
 states and strictly inside the ball for mixed ones. Pure states carry the
 usual polar parameterization |psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
+`pure_density` and the unchecked batch reader `_pure_rows` both form
+|psi><psi| through `_pure_densities`, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -72,10 +74,19 @@ def _amplitudes(q: PureQubit) -> tuple[float, complex]:
     return math.cos(q.theta / 2.0), cmath.exp(1j * q.phi) * math.sin(q.theta / 2.0)
 
 
+def _pure_densities(states) -> np.ndarray:
+    """|psi><psi| of each `PureQubit`, an (n, 2, 2) array: the one place the products are formed.
+
+    The products stay in numpy: Python's complex product rounds b * conj(b)
+    differently in the last bit.
+    """
+    psi = np.array([_amplitudes(q) for q in states], dtype=np.complex128)
+    return psi[:, :, None] * psi.conj()[:, None, :]
+
+
 def pure_density(q: PureQubit) -> np.ndarray:
     """Density matrix |psi><psi| of the pure state at (theta, phi)."""
-    psi = np.array(_amplitudes(q), dtype=np.complex128)
-    return cmatrix(np.outer(psi, psi.conj()))
+    return cmatrix(_pure_densities([q])[0])
 
 
 def _entry_stokes(r00, r01, r10, r11):
@@ -102,6 +113,19 @@ def _pauli_stokes(rho: np.ndarray) -> StokesVector:
     """
     (r00, r01), (r10, r11) = rho.tolist()
     return StokesVector(*_entry_stokes(r00, r01, r10, r11))
+
+
+def _pure_rows(states) -> np.ndarray:
+    """The Bloch vectors of the given `PureQubit`s, as the rows of an (n, 3) array.
+
+    One array pass: `_entry_stokes` reads the entries of `_pure_densities`
+    as `_pauli_stokes` does, so each row equals `_pauli_stokes(pure_density(q))`
+    bit for bit. No density check: `PureQubit` has checked the angles, so
+    each |psi><psi| is a valid pure state.
+    """
+    rho = _pure_densities(states)
+    s = _entry_stokes(rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1])
+    return np.array(s[1:]).T
 
 
 def stokes_of(rho: np.ndarray) -> StokesVector:
@@ -142,8 +166,7 @@ def _bloch_trace_distance(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 def fidelity(q: PureQubit, rho: np.ndarray) -> float:
     """Overlap <psi| rho |psi> between a pure target and a density matrix, as (1 + s.t)/2."""
     _require_density(rho, 2)
-    s = _bloch_rows(_pauli_stokes(rho), _pauli_stokes(pure_density(q)))
-    return float(_bloch_fidelity(s[:1], s[1:])[0])
+    return float(_bloch_fidelity(_bloch_rows(_pauli_stokes(rho)), _pure_rows([q]))[0])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,7 +9,8 @@ an explicit label, so nothing downstream depends on position.
 Step k pays Alice +1 with probability P(+1) = a_k . (1, s1, s2, s3); the rows
 a_k, derived at import from the steps' strategies and payoffs, form the 3x4
 instrument matrix, so no 4x4 state is built (the 4x4 route in `game` is the
-paper's derivation and the tests' oracle). A step's m-shot estimate
+paper's derivation and the tests' oracle). `_readout` alone forms Alice's
+payoffs 2 P(+1) - 1 and puts them in Bloch order. A step's m-shot estimate
 (2k - m)/m needs one draw of the count k ~ Binomial(m, P(+1)) of +1 shots.
 All randomness flows from one 64-bit master seed through a splitmix-style
 derivation, so every result is reproducible bit for bit.
@@ -24,8 +25,8 @@ One array core, `_tomography`, runs the protocol on n Bloch vectors at once:
 one generator per state, then readouts, projection and scores as arrays. The
 batch keeps the counts: a row's `SampleEstimate`s are built by `_estimate`
 only when the row becomes a result. `run_tomography` is its n = 1 case and a
-CLI sweep or trial set is one call; `_pure_rows` reads the batch's pure
-truths in one array pass, equal bit for bit to reading them one at a time.
+CLI sweep or trial set is one call; `states._pure_rows` reads the batch's
+pure truths in one array pass, equal bit for bit to reading them one at a time.
 A (1, s) is summed elementwise in a fixed order, not as a matrix product,
 whose rounding depends on the number of rows: a state's numbers do not
 depend on the size of its batch.
@@ -47,11 +48,10 @@ from .states import (
     PAULIS,
     PureQubit,
     StokesVector,
-    _amplitudes,
     _bloch_fidelity,
     _bloch_rows,
     _bloch_trace_distance,
-    _entry_stokes,
+    _pure_rows,
     density_from_stokes,
     stokes_of,
 )
@@ -213,16 +213,26 @@ def _plus_probabilities(truth: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
+# Per row of an (n, 3) Bloch array: P(+1) and Alice's payoff per step, and her payoffs in Bloch order.
+_Readout = namedtuple("_Readout", "p alice exact")
+
+
+def _readout(truth: np.ndarray) -> _Readout:
+    """The exact readout of each row of an (n, 3) Bloch array: the one place 2 P(+1) - 1 is formed."""
+    p = _plus_probabilities(truth)
+    alice = 2.0 * p - 1.0
+    return _Readout(p, alice, alice.take(_BLOCH_ORDER, axis=1))
+
+
 def step_payoffs(rho: np.ndarray) -> tuple[StepPayoffs, ...]:
     """Exact payoffs of both players at each canonical step: Alice 2 P(+1) - 1, Bob its negative."""
-    alice = (2.0 * _plus_probabilities(_bloch_rows(stokes_of(rho))) - 1.0)[0].tolist()
+    alice = _readout(_bloch_rows(stokes_of(rho))).alice[0].tolist()
     return tuple(StepPayoffs(label, a, -a) for label, a in zip(_LABELS, alice))
 
 
 def exact_stokes(rho: np.ndarray) -> StokesVector:
     """Stokes vector read off from Alice's exact payoffs over the three steps."""
-    alice = {sp.label: sp.alice for sp in step_payoffs(rho)}
-    return StokesVector(1.0, alice["S1"], alice["S2"], alice["S3"])
+    return StokesVector(1.0, *_readout(_bloch_rows(stokes_of(rho))).exact[0].tolist())
 
 
 def _draw(p_row: list[float], shots: int, step_seeds: list[int]) -> list[int]:
@@ -260,22 +270,6 @@ def _project(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t / np.where(projected, norm, 1.0)[:, None], projected
 
 
-def _pure_rows(states) -> np.ndarray:
-    """The Bloch vectors of the given `PureQubit`s, as the rows of an (n, 3) array.
-
-    One array pass: each |psi><psi| is the numpy product of the amplitudes
-    that `pure_density` forms, and `_entry_stokes` reads its entries as
-    `_pauli_stokes` does, so each row equals `_pauli_stokes(pure_density(q))`
-    bit for bit. The products stay in numpy: Python's complex product rounds
-    b * conj(b) differently in the last bit. No density check: `PureQubit`
-    has checked the angles, so each |psi><psi| is a valid pure state.
-    """
-    psi = np.array([_amplitudes(q) for q in states], dtype=np.complex128)
-    rho = psi[:, :, None] * psi.conj()[:, None, :]
-    s = _entry_stokes(rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1])
-    return np.array(s[1:]).T
-
-
 def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
     """(rho, projected): the density matrix of s, its Bloch vector projected as `_project` does.
 
@@ -307,13 +301,12 @@ def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
     (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
     """
     shots = _check_shots(shots)
-    p = _plus_probabilities(truth)
+    p, _, exact = _readout(truth)
     step_seeds = [list(map(derive_seed, repeat(seed), _STEPS)) for seed in seeds]
     counts = list(map(_draw, p.tolist(), repeat(shots), step_seeds))
     estimate = np.array([[_mean(row[j], shots) for j in _BLOCH_ORDER] for row in counts])
     t, projected = _project(estimate)
     t_hat = 0.5 * (_E3 + t) - 0.5 * (_E3 - t)  # t as `_pauli_stokes` reads it back from rho_hat
-    exact = (2.0 * p - 1.0).take(_BLOCH_ORDER, axis=1)
     fid, dist = _bloch_fidelity(t_hat, truth), _bloch_trace_distance(t_hat, truth)
     return _Batch(shots, counts, step_seeds, exact, estimate, t, projected, fid, dist)
 

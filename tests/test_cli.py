@@ -76,10 +76,6 @@ class TestExact:
         report = run_json(capsys, ["exact", "--theta", "90", "--phi", "0", "--degrees"])
         assert report["stokes"]["s1"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_checks_the_state_once(self, capsys, is_density_calls):
-        run_json(capsys, ["exact", "--theta", "1.1", "--phi", "2.2"])
-        assert len(is_density_calls) == 1
-
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(capsys, ["exact", "--theta", "0", "--phi", "0", "--format", "csv"])
         assert code == EXIT_OK
@@ -163,11 +159,6 @@ class TestSample:
             assert [float(x) for x in row[1:3] + row[5:19] + row[20:]] == floats
             assert row[19] == ("true" if r.projected else "false")
 
-    def test_checks_no_matrix(self, capsys, is_density_calls):
-        # PureQubit has checked the angles; the trials' truth is read unchecked.
-        run_json(capsys, ["sample", "--theta", "0.9", "--phi", "1.0", "--shots", "16", "--seed", "4", "--trials", "3"])
-        assert is_density_calls == []
-
     def test_shot_validation_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["sample", "--theta", "0.1", "--phi", "0", "--shots", "0"])
         assert code == EXIT_USAGE
@@ -233,12 +224,6 @@ class TestSweep:
             assert (cell["s1_hat"], cell["s2_hat"], cell["s3_hat"]) == (s.s1, s.s2, s.s3)
             assert cell["fidelity"] == res.fidelity
             assert cell["seed"] == derive_seed(8, idx)
-
-    def test_checks_each_cell_once(self, capsys, is_density_calls):
-        # Each cell is checked once, by PureQubit's angle check; no cell's
-        # density matrix is eigen-checked.
-        run_json(capsys, ["sweep", "--theta-steps", "2", "--phi-steps", "2", "--shots", "16", "--seed", "4"])
-        assert is_density_calls == []
 
     def test_grid_validation_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["sweep", "--theta-steps", "1", "--phi-steps", "3", "--seed", "1"])
@@ -397,6 +382,72 @@ def test_seeded_report_matches_golden_text(capsys, command):
     code, out, err = run_cli(capsys, GOLDEN_ARGS[command])
     assert code == EXIT_OK, err
     assert out == (GOLDEN / f"{command}.json").read_text(encoding="utf-8")
+
+
+CHECK_FREE_ARGS = {
+    "exact": ["exact", "--theta", "1.1", "--phi", "2.2"],
+    "bloch": ["bloch", "--theta", "1.1", "--phi", "2.2"],
+    "reconstruct": ["reconstruct", "--s1", "1.2", "--s2", "0.3", "--s3", "-0.4"],
+    "sample": ["sample", "--theta", "0.9", "--phi", "1.0", "--shots", "16", "--seed", "4", "--trials", "3"],
+    "sweep": ["sweep", "--theta-steps", "2", "--phi-steps", "2", "--shots", "16", "--seed", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_FREE_ARGS))
+def test_no_command_checks_a_density_matrix(capsys, is_density_calls, command):
+    # PureQubit has checked the angles, and reconstruct reads back the matrix
+    # it has just built, so no command eigen-checks a density matrix.
+    run_json(capsys, CHECK_FREE_ARGS[command])
+    assert is_density_calls == []
+
+
+def json_text(capsys, argv):
+    """The JSON report with every number left as its text."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_OK, err
+    return json.loads(out, parse_float=str, parse_int=str)
+
+
+def csv_row(capsys, argv):
+    """The one CSV row of a report, as a dict of column name to cell text."""
+    code, out, err = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == EXIT_OK, err
+    header, row = csv.reader(io.StringIO(out))
+    return dict(zip(header, row))
+
+
+class TestCsvMatchesJson:
+    """Each CSV column equals, as text, the JSON value it restates."""
+
+    @pytest.mark.parametrize("theta, phi", [("1.234567", "4.2"), ("0", "0"), (repr(math.pi), "-0.0")])
+    def test_exact_payoff_columns(self, capsys, theta, phi):
+        argv = ["exact", "--theta", theta, "--phi", phi]
+        report, row = json_text(capsys, argv), csv_row(capsys, argv)
+        assert {step["label"] for step in report["steps"]} == {"S1", "S2", "S3"}
+        for step in report["steps"]:
+            k = step["label"][1]
+            alice, bob = row[f"alice_s{k}"], row[f"bob_s{k}"]
+            assert (alice, bob) == (step["alice"], step["bob"])
+            assert bob == (alice[1:] if alice.startswith("-") else "-" + alice)
+
+    @pytest.mark.parametrize("theta, phi", [("1.234567", "4.2"), ("0", "0")])
+    def test_bloch_row(self, capsys, theta, phi):
+        argv = ["bloch", "--theta", theta, "--phi", phi]
+        report, row = json_text(capsys, argv), csv_row(capsys, argv)
+        m = report["metrics"]
+        assert [row[k] for k in ("plane_x", "plane_y", "plane_z")] == [m["plane_x"], m["plane_y"], m["plane_z"]]
+        assert [row[k] for k in ("x", "y", "z")] == m["point"]
+        assert [row["theta"], row["phi"]] == [report["inputs"]["theta"], report["inputs"]["phi"]]
+
+    @pytest.mark.parametrize("s", [("1.2", "0.3", "-0.4"), ("-5e-324", "-0.0", "0"), ("0.6", "0.8", "0.3")])
+    def test_reconstruct_row(self, capsys, s):
+        argv = ["reconstruct", "--s1=" + s[0], "--s2=" + s[1], "--s3=" + s[2]]
+        report, row = json_text(capsys, argv), csv_row(capsys, argv)
+        rec = report["reconstruction"]
+        cells = [row[f"rho{i}{j}_{part}"] for i in "01" for j in "01" for part in ("re", "im")]
+        assert cells == [x for rho_row in rec["rho"] for z in rho_row for x in z]
+        assert row["projected"] == ("true" if rec["projected"] else "false")
+        assert row["bloch_norm"] == rec["bloch_norm"]
 
 
 class _FailingStdout(io.StringIO):

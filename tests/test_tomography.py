@@ -18,6 +18,7 @@ from qtomo.states import (
     PureQubit,
     StokesVector,
     _pauli_stokes,
+    _pure_rows,
     density_from_stokes,
     fidelity,
     pure_density,
@@ -31,7 +32,6 @@ from qtomo.tomography import (
     _LABELS,
     _instrument_row,
     _plus_probabilities,
-    _pure_rows,
     _result,
     _tomography,
     derive_seed,
