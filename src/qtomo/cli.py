@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .states import PureQubit, StokesVector, _bloch_rows, _pauli_stokes, _pure_rows, pure_density
-from .tomography import SAMPLER, _readout, _scored, _tomography, derive_seed, protocol_steps, reconstruct
+from .tomography import SAMPLER, _BLOCH_ORDER, _readout, _scored, _tomography, derive_seed, protocol_steps, reconstruct
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -212,11 +212,11 @@ def _cmd_exact(args):
 
 
 def _sample_row(q: PureQubit, result, trial: int, seed: int) -> list:
-    est = {e.step_label: e for e in result.per_step}
+    est = [result.per_step[j] for j in _BLOCH_ORDER]
     s = result.stokes_est
     return (
-        [trial, q.theta, q.phi, est["S1"].shots, seed, s.s1, s.s2, s.s3,
-         est["S1"].std_error, est["S2"].std_error, est["S3"].std_error]
+        [trial, q.theta, q.phi, est[0].shots, seed, s.s1, s.s2, s.s3]
+        + [e.std_error for e in est]
         + _rho_cells(result.rho_hat)
         + [result.projected, result.fidelity, result.trace_dist]
     )

@@ -6,7 +6,10 @@ rho = (1/2) sum_i s_i sigma_i with s0 = 1; the real coefficients
 states and strictly inside the ball for mixed ones. Pure states carry the
 usual polar parameterization |psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 `pure_density` and the unchecked batch reader `_pure_rows` both form
-|psi><psi| through `_pure_densities`, so they agree bit for bit.
+|psi><psi| through `_pure_densities`, so they agree bit for bit. The reverse
+map, rho from (s0, s1, s2, s3), is formed only by `_stokes_density`:
+`density_from_stokes` calls it after its checks, and the tomography core
+calls it for a reconstruction it has already put in the ball.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _require_density, cmatrix
+from .linalg import DEFAULT_TOL, _freeze, _require_density, cmatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,8 +144,20 @@ def density_from_stokes(s: StokesVector) -> np.ndarray:
     norm = s.bloch_norm()
     if norm > 1.0 + DEFAULT_TOL:
         raise ValueError(f"Bloch norm {norm:.6g} exceeds 1; project the vector first")
-    rho = 0.5 * (s.s0 * SIGMA0 + s.s1 * SIGMA1 + s.s2 * SIGMA2 + s.s3 * SIGMA3)
-    return cmatrix(rho)
+    return _stokes_density(s.s0, s.s1, s.s2, s.s3)
+
+
+def _stokes_density(s0: float, s1: float, s2: float, s3: float) -> np.ndarray:
+    """rho = (1/2) sum_i s_i sigma_i as a read-only array, unchecked: the one place it is formed.
+
+    The four entries are written out, equal bit for bit to the Pauli sum
+    0.5 * (s0 SIGMA0 + s1 SIGMA1 + s2 SIGMA2 + s3 SIGMA3): adding 0.0 turns
+    a -0.0 into the +0.0 that sum gives where a sigma's zero entry is added.
+    """
+    return _freeze(np.array([
+        [0.5 * (s0 + s3) + 0j, complex(0.5 * (s1 + 0.0), 0.5 * (0.0 - s2))],
+        [complex(0.5 * (s1 + 0.0), 0.5 * (s2 + 0.0)), 0.5 * (s0 - s3) + 0j],
+    ]))
 
 
 def _bloch_rows(*vectors: StokesVector) -> np.ndarray:

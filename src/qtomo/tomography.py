@@ -18,8 +18,10 @@ derivation, so every result is reproducible bit for bit.
 The sampler, `SAMPLER` = "binomial-count-v2", gives each state one
 generator: state seed s draws its three counts, in protocol order, from
 `np.random.default_rng([derive_seed(s, 0), derive_seed(s, 1),
-derive_seed(s, 2)])`. A step's reported `seed` is its word of that
-generator's entropy, so the three step seeds together reproduce the draw.
+derive_seed(s, 2)])`. `_draw` feeds numpy the step seeds' 32-bit words, the
+array numpy itself would make of that list, so the stream is the same. A
+step's reported `seed` is its part of that generator's entropy, so the three
+step seeds together reproduce the draw.
 
 One array core, `_tomography`, runs the protocol on n Bloch vectors at once:
 one generator per state, then readouts, projection and scores as arrays. The
@@ -52,6 +54,7 @@ from .states import (
     _bloch_rows,
     _bloch_trace_distance,
     _pure_rows,
+    _stokes_density,
     density_from_stokes,
     stokes_of,
 )
@@ -65,6 +68,7 @@ BOB_PAYOFF = PayoffMatrix(-1.0, 1.0, -1.0, 1.0)
 # generator per state, seeded with its three step seeds.
 SAMPLER = "binomial-count-v2"
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -95,7 +99,7 @@ class SampleEstimate:
     std_error is the population standard deviation of the outcomes divided by
     sqrt(m), which for +-1 outcomes never exceeds 1/sqrt(m). seed is the
     step's derive_seed(state seed, step index): one of the three entropy
-    words of the generator that draws its state's three counts, not a
+    inputs of the generator that draws its state's three counts, not a
     generator of its own.
     """
 
@@ -149,6 +153,11 @@ def derive_seed(master: int, index: int) -> int:
     index = operator.index(index)
     if index < 0:
         raise ValueError("index must be non-negative")
+    return _splitmix(master, index)
+
+
+def _splitmix(master: int, index: int) -> int:
+    """`derive_seed` unchecked: master must be an unsigned 64-bit int and index a non-negative int."""
     x = (master + (index + 1) * _GOLDEN) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
@@ -238,10 +247,18 @@ def exact_stokes(rho: np.ndarray) -> StokesVector:
 def _draw(p_row: list[float], shots: int, step_seeds: list[int]) -> list[int]:
     """A state's three counts k ~ Binomial(shots, P(+1)) of +1 shots, in protocol order.
 
-    One generator per state, seeded with the state's three step seeds; three
-    scalar draws cost less than one array draw. Inputs are already checked.
+    One generator per state, seeded with the state's three step seeds as
+    numpy splits a list of ints: each seed's 32-bit words, low word first,
+    one word for a seed below 2**32 (0 gives [0]). Building that array here
+    costs less than numpy's own per-int split. Three scalar draws cost less
+    than one array draw. Inputs are already checked.
     """
-    rng = np.random.default_rng(step_seeds)
+    words = []
+    for seed in step_seeds:
+        words.append(seed & _MASK32)
+        if seed > _MASK32:
+            words.append(seed >> 32)
+    rng = np.random.default_rng(np.array(words, dtype=np.uint32))
     return [int(rng.binomial(shots, p)) for p in p_row]
 
 
@@ -259,13 +276,12 @@ def _estimate(k: int, shots: int, seed: int, label: str) -> SampleEstimate:
 def _project(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, projected): each row of an (n, 3) Bloch array beyond 1 + DEFAULT_TOL scaled onto the sphere.
 
-    Exact round trips of physical states never move; a norm that overflows raises ValueError.
+    Exact round trips of physical states never move. The rows' squared norms
+    must not overflow: the core's rows lie in [-1, 1], and `reconstruct`
+    rejects any other row first.
     """
-    with np.errstate(over="ignore"):
-        sq = t * t
+    sq = t * t
     norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-    if not np.isfinite(norm).all():
-        raise ValueError("Bloch vector norm overflows")
     projected = norm > 1.0 + DEFAULT_TOL
     return t / np.where(projected, norm, 1.0)[:, None], projected
 
@@ -277,8 +293,12 @@ def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
     state nearest (I + s.sigma)/2 in Frobenius norm, the least-squares
     estimate: that state's eigenvalues are the projection of (1 +- |s|)/2
     onto the probability simplex, (1, 0), with the eigenvectors kept (Smolin,
-    Gambetta & Smith, PRL 108, 070502 (2012)).
+    Gambetta & Smith, PRL 108, 070502 (2012)). A vector whose norm overflows
+    raises ValueError; `bloch_norm` sums the same squares in the same order
+    as `_project`, so nothing after this check overflows.
     """
+    if not math.isfinite(s.bloch_norm()):
+        raise ValueError("Bloch vector norm overflows")
     (t,), (projected,) = _project(_bloch_rows(s))
     return density_from_stokes(StokesVector(s.s0, *t.tolist())), bool(projected)
 
@@ -293,7 +313,8 @@ def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
     """The protocol on each row of an (n, 3) Bloch array; row i draws from the generator of its step seeds.
 
     Row i's step seeds are derive_seed(seeds[i], j) for the steps j, and
-    `_draw` seeds the row's one generator with all three.
+    `_draw` seeds the row's one generator with all three. Each state seed is
+    checked once, and its step seeds are mixed by the unchecked `_splitmix`.
 
     The batch keeps counts, not SampleEstimates: only a row turned into a
     result (`_result`) builds its three. The scores read t back from
@@ -302,7 +323,7 @@ def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
     """
     shots = _check_shots(shots)
     p, _, exact = _readout(truth)
-    step_seeds = [list(map(derive_seed, repeat(seed), _STEPS)) for seed in seeds]
+    step_seeds = [list(map(_splitmix, repeat(seed), _STEPS)) for seed in map(_check_seed, seeds)]
     counts = list(map(_draw, p.tolist(), repeat(shots), step_seeds))
     estimate = np.array([[_mean(row[j], shots) for j in _BLOCH_ORDER] for row in counts])
     t, projected = _project(estimate)
@@ -319,14 +340,18 @@ def _result(batch: _Batch, i: int, **reconstruction) -> TomographyResult:
 
 
 def _scored(batch: _Batch, i: int) -> TomographyResult:
-    """Row i of a batch with its reconstruction and scores."""
-    rho_hat = density_from_stokes(StokesVector(1.0, *batch.bloch_hat[i].tolist()))
+    """Row i of a batch with its reconstruction and scores; `_project` has put bloch_hat in the ball."""
+    rho_hat = _stokes_density(1.0, *batch.bloch_hat[i].tolist())
     return _result(batch, i, rho_hat=rho_hat, projected=bool(batch.projected[i]),
                    fidelity=float(batch.fidelity[i]), trace_dist=float(batch.trace_distance[i]))
 
 
 def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
-    """Sample all three steps with shots each, sub-seed i driving step i, and read them out exactly too."""
+    """Sample all three steps with shots each, and read them out exactly too.
+
+    The three step seeds derive_seed(seed, i) together seed the one generator
+    that draws the three counts, in protocol order.
+    """
     return _result(_tomography(_bloch_rows(stokes_of(rho)), shots, [seed]), 0)
 
 

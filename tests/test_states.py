@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtomo.linalg import cmatrix, is_density, max_abs
+from qtomo.linalg import DEFAULT_TOL, cmatrix, is_density, max_abs
 from qtomo.states import (
     PAULIS,
     SIGMA0,
@@ -18,13 +18,14 @@ from qtomo.states import (
     PureQubit,
     StokesVector,
     _pauli_stokes,
+    _pure_rows,
     density_from_stokes,
     fidelity,
     pure_density,
     stokes_of,
     trace_distance,
 )
-from qtomo.tomography import reconstruct
+from qtomo.tomography import _tomography, reconstruct, run_tomography
 
 I2 = np.eye(2, dtype=complex)
 KET0 = cmatrix([[1, 0], [0, 0]])
@@ -177,6 +178,52 @@ class TestDensityFromStokes:
         rho = density_from_stokes(s)
         back = stokes_of(rho)
         np.testing.assert_allclose([back.s1, back.s2, back.s3], vec, atol=1e-12)
+
+
+def _pauli_sum(s0, s1, s2, s3):
+    """rho = (1/2) sum_i s_i sigma_i as the plain Pauli sum: the oracle for the written-out entries."""
+    return 0.5 * (s0 * SIGMA0 + s1 * SIGMA1 + s2 * SIGMA2 + s3 * SIGMA3)
+
+
+# Coordinates whose signs and last bits the entry formulas must keep, all inside the ball together.
+BYTE_CORNERS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.5, -0.5)
+# s0 at 1 and within DEFAULT_TOL of it, where `density_from_stokes` accepts it.
+S0_TOL = 0.999 * DEFAULT_TOL
+NEAR_ONE = (1.0, 1.0 - S0_TOL, 1.0 + S0_TOL, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0))
+
+
+class TestStokesDensityMatchesPauliSum:
+    """`density_from_stokes` and `run_tomography`'s rho_hat equal the Pauli sum byte for byte."""
+
+    @staticmethod
+    def assert_bytes_equal(rho, s):
+        assert not rho.flags.writeable
+        assert rho.tobytes() == _pauli_sum(*s).tobytes(), s
+
+    def test_corner_grid(self):
+        for s0 in NEAR_ONE:
+            for v in itertools.product(BYTE_CORNERS, repeat=3):
+                self.assert_bytes_equal(density_from_stokes(StokesVector(s0, *v)), (s0, *v))
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(st.sampled_from(NEAR_ONE), st.floats(1.0 - S0_TOL, 1.0 + S0_TOL)),
+        st.tuples(*[st.one_of(st.sampled_from(BYTE_CORNERS), st.floats(-1.0, 1.0))] * 3).filter(
+            lambda v: StokesVector(1.0, *v).bloch_norm() <= 1.0 + DEFAULT_TOL
+        ),
+    )
+    def test_density_from_stokes(self, s0, v):
+        self.assert_bytes_equal(density_from_stokes(StokesVector(s0, *v)), (s0, *v))
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.builds(PureQubit, angles, phases),
+        st.sampled_from([1, 2, 3, 16, 4096]),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_rho_hat_of_run_tomography(self, q, shots, seed):
+        (t,) = _tomography(_pure_rows([q]), shots, [seed]).bloch_hat.tolist()
+        self.assert_bytes_equal(run_tomography(q, shots, seed).rho_hat, (1.0, *t))
 
 
 class TestPauliAlgebra:

@@ -30,6 +30,7 @@ from qtomo.tomography import (
     BOB_PAYOFF,
     _INSTRUMENT,
     _LABELS,
+    _draw,
     _instrument_row,
     _plus_probabilities,
     _result,
@@ -363,6 +364,23 @@ class TestDeriveSeed:
                     assert derive_seed(master, np.int64(i)) == derive_seed(5, i)
 
 
+class TestDraw:
+    """`_draw`'s word array seeds the same generator as numpy's own split of the three step seeds."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.integers(1, 10**6), st.tuples(*[st.integers(0, 2**64 - 1)] * 3))
+    @example([0.5, 0.5, 0.5], 16, (0, 0, 0))
+    @example([0.5, 0.5, 0.5], 16, (1, 1, 1))
+    @example([0.5, 0.5, 0.5], 16, (2**32 - 1, 2**32 - 1, 2**32 - 1))
+    @example([0.5, 0.5, 0.5], 16, (2**32, 2**32, 2**32))
+    @example([0.5, 0.5, 0.5], 16, (2**64 - 1, 2**64 - 1, 2**64 - 1))
+    @example([0.3, 0.6, 0.9], 4096, (0, 2**32, 1))
+    @example([0.3, 0.6, 0.9], 4096, (2**64 - 1, 2**32 - 1, 0))
+    def test_counts_equal_numpy_seeding(self, p_row, shots, step_seeds):
+        rng = np.random.default_rng(list(step_seeds))
+        assert _draw(p_row, shots, list(step_seeds)) == [int(rng.binomial(shots, p)) for p in p_row]
+
+
 class TestEstimateStokes:
     def test_converges_with_many_shots(self):
         q = PureQubit(1.9, 0.6)
@@ -442,6 +460,22 @@ class TestReconstruct:
     def test_overflowing_norm_rejected(self):
         with pytest.raises(ValueError, match="overflows"):
             reconstruct(StokesVector(1.0, 1e200, 0.0, 0.0))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.tuples(*[st.floats(-1.79e308, 1.79e308)] * 3))
+    @example((1.79e308, 0.0, 0.0))
+    @example((1.3407807929942596e154, 0.0, 0.0))
+    @example((1.3407807929942597e154, 0.0, 0.0))
+    @example((1e154, 1e154, 1e154))
+    @example((-1e154, 1e154, -1e153))
+    def test_overflow_raised_exactly_when_the_norm_overflows(self, t):
+        s = StokesVector(1.0, *t)
+        if math.isfinite(s.bloch_norm()):
+            rho_hat, _ = reconstruct(s)
+            assert is_density(rho_hat, 1e-9)
+        else:
+            with pytest.raises(ValueError, match="overflows"):
+                reconstruct(s)
 
     def test_unnormalized_s0_rejected(self):
         with pytest.raises(ValueError):
