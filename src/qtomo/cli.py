@@ -12,10 +12,16 @@ a sweep reads its grid's pure states in one array pass (`_pure_rows`) and
 samples them in one batch that keeps counts, building no per-step
 `SampleEstimate`; `exact` and `bloch` read through the one exact readout,
 `_readout`. No command eigen-checks a state it built or `PureQubit` checked.
-The one emitter, `_dumps`, writes each float, int, str, bool or None straight
-from a table keyed by its exact type and joins each container once; numpy
-scalars and subclasses take an isinstance chain that gives them the same
-text, and CSV cells reuse the same scalar formatter.
+The one emitter, `_dumps`, writes each dict through a `%` template cached
+per shape (keys, exact value types, indent level): the template formats the
+numbers of exact type float or int itself, so a sweep cell is one C call,
+and every other value fills a slot with its text. Scalars of exact type
+float, int, str, bool or None come from a table keyed by that type, each
+list is one join, numpy scalars and subclasses take an isinstance chain that
+gives them the same text, and CSV cells reuse the same scalar formatter.
+`sample` and `sweep` derive their trial and cell seeds from the checked
+master with the unchecked `_splitmix`, and build their CSV rows only when
+CSV is written.
 
 Exit codes: 0 success, 2 validation/usage error, 3 I/O error (the --out
 file or stdout cannot be written).
@@ -30,14 +36,14 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .states import PureQubit, StokesVector, _bloch_rows, _pauli_stokes, _pure_rows, pure_density
-from .tomography import SAMPLER, _BLOCH_ORDER, _readout, _scored, _tomography, derive_seed, protocol_steps, reconstruct
+from .tomography import SAMPLER, _BLOCH_ORDER, _readout, _scored, _splitmix, _tomography, protocol_steps, reconstruct
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,29 +84,57 @@ def _scalar(x) -> str:
     return json.dumps(x)
 
 
+# Values a dict template formats itself, by exact type: a `%.17g` slot prints
+# what `format(x, ".17g")` does and a `%d` slot what `int.__repr__` does.
+_SLOTS = {float: "%.17g", int: "%d"}
+
+
+@functools.lru_cache(maxsize=256)
+def _template(keys: tuple, types: tuple, level: int) -> tuple[str, bool, bool]:
+    """The text of a dict of this shape with one `%` slot per value, and how to fill it.
+
+    A float or int value fills its own slot; any other value fills a `%s`
+    slot with its text. Keys of exact type str are written in, `%` escaped as
+    `%%`. A dict with any other key gets a `%s` slot per key, filled per call,
+    as equal keys of other types (1, True, 1.0, -0.0) print differently.
+    Returns (template, every value fills its own slot, keys are written in).
+    """
+    pad = "\n" + "  " * level
+    inner = pad + "  "
+    str_keys = all(type(k) is str for k in keys)
+    heads = [encode_basestring_ascii(k).replace("%", "%%") for k in keys] if str_keys else ["%s"] * len(keys)
+    items = [f"{head}: {_SLOTS.get(t, '%s')}" for head, t in zip(heads, types)]
+    return "{" + inner + ("," + inner).join(items) + pad + "}", all(t in _SLOTS for t in types), str_keys
+
+
 def _dumps(obj, level: int = 0) -> str:
     """Deterministic JSON with two-space indents and 17-significant-digit floats.
 
     Scalars of exact type float, int, str, bool and None are emitted straight
-    from `_SCALARS`, without a recursive call; each container is one join.
+    from `_SCALARS`; each dict is one `%` through the template of its shape,
+    and each list one join.
     """
     emit = _SCALARS.get(type(obj))
     if emit is not None:
         return emit(obj)
-    pad = "\n" + "  " * level
-    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f"{encode_basestring_ascii(k) if type(k) is str else json.dumps(k)}: "
-            f"{emit(v) if (emit := _SCALARS.get(type(v))) else _dumps(v, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        # Each tuple is built from a sized sequence: `tuple()` of an iterator
+        # allocates ten slots and shrinks them, which would add a tuple of the
+        # dict's size to CPython's free list on every call, up to 2000 a size.
+        values = tuple(obj.values())
+        template, native, str_keys = _template(tuple(obj), (*map(type, values),), level)
+        if not native:
+            values = tuple([v if type(v) in _SLOTS else _dumps(v, level + 1) for v in values])
+        if not str_keys:
+            values = tuple([x for k, v in zip(obj, values) for x in (json.dumps(k), v)])
+        return template % values
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        pad = "\n" + "  " * level
+        inner = pad + "  "
         items = [emit(v) if (emit := _SCALARS.get(type(v))) else _dumps(v, level + 1) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return _scalar(obj)
@@ -111,7 +145,7 @@ def _csv_cell(v) -> str:
     return _scalar(v) if isinstance(v, (int, float, np.integer, np.floating)) else str(v)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -145,7 +179,7 @@ def _resolve_seed(args) -> int:
             return _u64(env)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"QTOMO_SEED: {exc}") from None
-    return secrets.randbits(64)
+    return int.from_bytes(os.urandom(8), "little")
 
 
 def _angles(args) -> PureQubit:
@@ -227,7 +261,7 @@ def _cmd_sample(args):
     _check_count("trials", args.trials, MAX_TRIALS)
     q = _angles(args)
     master = _resolve_seed(args)
-    trial_seeds = [master] if args.trials == 1 else [derive_seed(master, t) for t in range(args.trials)]
+    trial_seeds = [master] if args.trials == 1 else [_splitmix(master, t) for t in range(args.trials)]
     truth = np.repeat(_pure_rows([q]), args.trials, axis=0)
     batch = _tomography(truth, args.shots, trial_seeds)
     results = [_scored(batch, t) for t in range(args.trials)]
@@ -277,7 +311,7 @@ def _cmd_sample(args):
         + _RHO_COLUMNS
         + ["projected", "fidelity", "trace_distance"]
     )
-    rows = [_sample_row(q, r, t, ts) for t, (ts, r) in enumerate(zip(trial_seeds, results))]
+    rows = (_sample_row(q, r, t, ts) for t, (ts, r) in enumerate(zip(trial_seeds, results)))
     return report, header, rows
 
 
@@ -293,7 +327,7 @@ def _cmd_sweep(args):
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
     phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
     states = [PureQubit(theta, phi) for theta in thetas.tolist() for phi in phis.tolist()]
-    seeds = [derive_seed(master, k) for k in range(len(states))]
+    seeds = [_splitmix(master, k) for k in range(len(states))]
     batch = _tomography(_pure_rows(states), args.shots, seeds)
     columns = zip(states, batch.exact.tolist(), batch.estimate.tolist(), batch.fidelity.tolist(), seeds)
     cells = [
@@ -312,7 +346,7 @@ def _cmd_sweep(args):
         "seed": master,
     }
     header = _SWEEP_KEYS[:-1]
-    return report, header, [[cell[k] for k in header] for cell in cells]
+    return report, header, ([cell[k] for k in header] for cell in cells)
 
 
 def _cmd_reconstruct(args):
@@ -355,6 +389,8 @@ def _cmd_bloch(args):
     return report, header, [[q.theta, q.phi, *point, *point]]
 
 
+# Each handler returns (report, CSV header, CSV rows); sample and sweep return
+# their rows as a generator, which only a CSV report runs.
 _HANDLERS = {
     "exact": _cmd_exact,
     "sample": _cmd_sample,

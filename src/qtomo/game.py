@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _require_density, cmatrix, kron
-from .states import TWO_PI, PureQubit
+from .states import PureQubit, _wrap_angle
 
 KET0_PROJECTOR = cmatrix([[1, 0], [0, 0]])
 
@@ -43,7 +43,7 @@ class Strategy:
             raise ValueError("strategy angles must be finite")
         if not 0.0 <= self.beta <= math.pi:
             raise ValueError(f"beta must be in [0, pi], got {self.beta}")
-        object.__setattr__(self, "alpha", self.alpha % TWO_PI)
+        object.__setattr__(self, "alpha", _wrap_angle(self.alpha))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,16 @@ SIGMA3 = cmatrix([[1, 0], [0, -1]])
 PAULIS = (SIGMA0, SIGMA1, SIGMA2, SIGMA3)
 
 
+def _wrap_angle(x: float) -> float:
+    """x reduced into [0, 2 pi).
+
+    Python's `x % TWO_PI` lies in [0, 2 pi] for finite x: for a tiny negative
+    x the sum that brings it into range rounds up to 2 pi itself, read as 0.
+    """
+    r = x % TWO_PI
+    return 0.0 if r == TWO_PI else r
+
+
 @dataclass(frozen=True)
 class PureQubit:
     """Bloch-sphere angles of a pure state.
@@ -47,7 +57,7 @@ class PureQubit:
             raise ValueError("angles must be finite")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
+        object.__setattr__(self, "phi", _wrap_angle(self.phi))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qtomo
 import qtomo.tomography
-from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _csv_cell, _dumps, build_parser, main
+from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _SCALARS, _csv_cell, _dumps, _template, build_parser, main
 from qtomo.states import PureQubit, pure_density
 from qtomo.tomography import derive_seed, exact_stokes, run_tomography
 
@@ -352,6 +352,16 @@ class TestSeedSources:
             main(["sample", "--theta", "0.2", "--phi", "0.1", "--seed", str(2**64)])
         assert exc.value.code == 2
 
+    def test_import_loads_no_openssl(self):
+        # Fresh entropy comes from os.urandom: importing the CLI pulls in
+        # neither `secrets` nor the hashlib modules it imports.
+        src = str(Path(qtomo.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, qtomo.cli; print(sorted({'secrets', 'hashlib', '_hashlib'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestOutputFile:
     def test_json_written_to_file(self, capsys, tmp_path):
@@ -618,8 +628,49 @@ class TestEmitter:
     @settings(deadline=None, max_examples=250)
     @given(json_trees)
     @example({"a": [0.1, -0.0, 5e-324], "b": (np.uint64(2**64 - 1), {}, [], None, True)})
+    # Keys holding `%`, which a template must escape, and int keys.
+    @example({"%": 0.5, "%s": 1, "100%": "x", "%%d": [0.25, 2]})
+    @example({1: 0.5, -2: 3, 2**70: "x"})
+    @example({"a": 0.5, 7: 1})
+    # Equal keys of different types print differently: 1, True, 1.0; 0.0 and -0.0.
+    @example([{1: 0.5}, {True: 0.5}, {1.0: 0.5}, {0.0: 1}, {-0.0: 1}])
+    # One shape of keys, different value types, at one level of one tree.
+    @example([{"a": 0.5, "b": 1}, {"a": 1, "b": 0.5}, {"a": "x", "b": None}, {"a": True, "b": [0.5]}])
+    # A dict of floats with one value the template does not format itself.
+    @example({"a": 0.1, "b": True, "c": 0.3})
+    @example({"a": 0.1, "b": None, "c": 0.3})
+    @example({"a": 0.1, "b": np.float64(0.2), "c": 0.3})
+    @example({"a": 0.1, "b": _Float(0.2), "c": 0.3})
+    @example({"a": 0.1, "b": _Int(2), "c": 0.3})
+    # Five levels deep, through dicts and through lists.
+    @example({"a": {"b": {"c": {"d": {"e": 0.5, "f": 1}}}}})
+    @example({"a": [{"b": [{"c": {"d": [0.5, {"e": -0.0}]}}]}]})
     def test_matches_the_reference_emitter(self, tree):
         assert _dumps(tree) == _reference_dumps(tree)
+
+    def test_sweep_formats_no_float_in_python(self, capsys, monkeypatch):
+        # Every float of a sweep report sits in a dict, whose template formats it.
+        calls = []
+        fmt = _SCALARS[float]
+
+        def counting(x):
+            calls.append(x)
+            return fmt(x)
+
+        monkeypatch.setitem(_SCALARS, float, counting)
+        assert _dumps([0.5]) == "[\n  0.5\n]" and calls == [0.5]  # the counter sees list items
+        calls.clear()
+        code, out, err = run_cli(capsys, GOLDEN_ARGS["sweep"])
+        assert code == EXIT_OK, err
+        assert out == (GOLDEN / "sweep.json").read_text(encoding="utf-8")
+        assert calls == []
+
+    def test_template_cache_is_bounded(self):
+        for i in range(1000):
+            tree = {f"k{i}": 0.5, "n": i}
+            assert _dumps(tree) == _reference_dumps(tree)
+        info = _template.cache_info()
+        assert info.currsize <= info.maxsize
 
     @settings(deadline=None, max_examples=200)
     @given(json_scalars)

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qtomo.game import Strategy
 from qtomo.linalg import DEFAULT_TOL, cmatrix, is_density, max_abs
 from qtomo.states import (
     PAULIS,
@@ -15,6 +16,7 @@ from qtomo.states import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    TWO_PI,
     PureQubit,
     StokesVector,
     _pauli_stokes,
@@ -63,6 +65,17 @@ class TestPureQubit:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             PureQubit(math.nan, 0.0)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-1e-17)
+    @example(-5e-324)
+    @example(-0.0)
+    @example(TWO_PI)
+    @example(-TWO_PI)
+    def test_angles_land_in_zero_to_two_pi(self, angle):
+        # For a tiny negative angle, `angle % TWO_PI` rounds up to TWO_PI itself.
+        assert 0.0 <= PureQubit(1.0, angle).phi < TWO_PI
+        assert 0.0 <= Strategy(1.0, angle).alpha < TWO_PI
 
 
 class TestPureDensity:
