@@ -10,8 +10,11 @@ The argument parser is built once per process (`build_parser` is cached),
 so a driver that calls `main` many times in one process pays for it once;
 a sweep reads its grid's pure states in one array pass (`_pure_rows`) and
 samples them in one batch that keeps counts, building no per-step
-`SampleEstimate`; `exact` and `bloch` read through the one exact readout,
-`_readout`. No command eigen-checks a state it built or `PureQubit` checked.
+`SampleEstimate`, and writes each cell from the batch's columns of plain
+Python numbers; a JSON trial set builds only trial 0's `TomographyResult`
+and reads every trial's scores from the same columns. `exact` and `bloch`
+read through the one exact readout, `_readout`. No command eigen-checks a
+state it built or `PureQubit` checked.
 The one emitter, `_dumps`, writes each dict through a `%` template cached
 per shape (keys, exact value types, indent level): the template formats the
 numbers of exact type float or int itself, so a sweep cell is one C call,
@@ -43,7 +46,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .states import PureQubit, StokesVector, _bloch_rows, _pauli_stokes, _pure_rows, pure_density
-from .tomography import SAMPLER, _BLOCH_ORDER, _readout, _scored, _splitmix, _tomography, protocol_steps, reconstruct
+from .tomography import SAMPLER, _IN_BLOCH_ORDER, _readout, _scored, _splitmix, _tomography, protocol_steps, reconstruct
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -246,7 +249,7 @@ def _cmd_exact(args):
 
 
 def _sample_row(q: PureQubit, result, trial: int, seed: int) -> list:
-    est = [result.per_step[j] for j in _BLOCH_ORDER]
+    est = _IN_BLOCH_ORDER(result.per_step)
     s = result.stokes_est
     return (
         [trial, q.theta, q.phi, est[0].shots, seed, s.s1, s.s2, s.s3]
@@ -264,8 +267,7 @@ def _cmd_sample(args):
     trial_seeds = [master] if args.trials == 1 else [_splitmix(master, t) for t in range(args.trials)]
     truth = np.repeat(_pure_rows([q]), args.trials, axis=0)
     batch = _tomography(truth, args.shots, trial_seeds)
-    results = [_scored(batch, t) for t in range(args.trials)]
-    first = results[0]
+    first = _scored(batch, 0)
     steps = [
         {
             "step": i + 1,
@@ -281,16 +283,12 @@ def _cmd_sample(args):
     if args.trials > 1:
         metrics["trials"] = args.trials
         metrics["median_fidelity"] = float(np.median(batch.fidelity))
-        metrics["min_fidelity"] = float(batch.fidelity.min())
+        metrics["min_fidelity"] = min(batch.fidelity)
         metrics["per_trial"] = [
-            {
-                "trial": t,
-                "seed": ts,
-                "fidelity": r.fidelity,
-                "trace_distance": r.trace_dist,
-                "projected": r.projected,
-            }
-            for t, (ts, r) in enumerate(zip(trial_seeds, results))
+            {"trial": t, "seed": ts, "fidelity": fid, "trace_distance": dist, "projected": projected}
+            for t, (ts, fid, dist, projected) in enumerate(
+                zip(trial_seeds, batch.fidelity, batch.trace_distance, batch.projected)
+            )
         ]
     report = {
         "command": "sample",
@@ -311,7 +309,7 @@ def _cmd_sample(args):
         + _RHO_COLUMNS
         + ["projected", "fidelity", "trace_distance"]
     )
-    rows = (_sample_row(q, r, t, ts) for t, (ts, r) in enumerate(zip(trial_seeds, results)))
+    rows = (_sample_row(q, _scored(batch, t), t, ts) for t, ts in enumerate(trial_seeds))
     return report, header, rows
 
 
@@ -329,7 +327,7 @@ def _cmd_sweep(args):
     states = [PureQubit(theta, phi) for theta in thetas.tolist() for phi in phis.tolist()]
     seeds = [_splitmix(master, k) for k in range(len(states))]
     batch = _tomography(_pure_rows(states), args.shots, seeds)
-    columns = zip(states, batch.exact.tolist(), batch.estimate.tolist(), batch.fidelity.tolist(), seeds)
+    columns = zip(states, batch.exact, batch.estimate, batch.fidelity, seeds)
     cells = [
         dict(zip(_SWEEP_KEYS, [q.theta, q.phi, *exact, *est, fid, seed]))
         for q, exact, est, fid, seed in columns

@@ -31,8 +31,8 @@ class Strategy:
     """Player unitary parameters.
 
     beta in [0, pi] mixes the phase rotation into the flip (out-of-range
-    values are an error); alpha is the rotation phase, normalized to
-    [0, 2 pi).
+    values are an error) and is stored as beta + 0.0, so -0.0 reads as 0.0;
+    alpha is the rotation phase, normalized to [0, 2 pi).
     """
 
     beta: float
@@ -43,6 +43,7 @@ class Strategy:
             raise ValueError("strategy angles must be finite")
         if not 0.0 <= self.beta <= math.pi:
             raise ValueError(f"beta must be in [0, pi], got {self.beta}")
+        object.__setattr__(self, "beta", self.beta + 0.0)
         object.__setattr__(self, "alpha", _wrap_angle(self.alpha))
 
 

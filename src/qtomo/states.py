@@ -45,8 +45,9 @@ def _wrap_angle(x: float) -> float:
 class PureQubit:
     """Bloch-sphere angles of a pure state.
 
-    theta must lie in [0, pi] (out-of-range values are an error, not wrapped);
-    phi is normalized into [0, 2 pi).
+    theta must lie in [0, pi] (out-of-range values are an error, not wrapped)
+    and is stored as theta + 0.0, so -0.0 reads as 0.0; phi is normalized into
+    [0, 2 pi).
     """
 
     theta: float
@@ -57,6 +58,7 @@ class PureQubit:
             raise ValueError("angles must be finite")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta must be in [0, pi], got {self.theta}")
+        object.__setattr__(self, "theta", self.theta + 0.0)
         object.__setattr__(self, "phi", _wrap_angle(self.phi))
 
 
@@ -175,28 +177,31 @@ def _bloch_rows(*vectors: StokesVector) -> np.ndarray:
     return np.array([(v.s1, v.s2, v.s3) for v in vectors])
 
 
-def _bloch_fidelity(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(1 + s.t)/2 per row of two (n, 3) Bloch arrays, in [0, 1]: the fidelity when one state is pure."""
-    st = s * t
-    return np.minimum(np.maximum(0.5 * (1.0 + (st[:, 0] + st[:, 1] + st[:, 2])), 0.0), 1.0)
+def _bloch_fidelity(s, t) -> float:
+    """(1 + s.t)/2 of two Bloch vectors, clipped to [0, 1]: the fidelity when one state is pure."""
+    s1, s2, s3 = s
+    t1, t2, t3 = t
+    return min(max(0.5 * (1.0 + (s1 * t1 + s2 * t2 + s3 * t3)), 0.0), 1.0)
 
 
-def _bloch_trace_distance(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """|s - t|/2 per row of two (n, 3) Bloch arrays: the trace distance of two qubit states."""
-    d = s - t
-    dd = d * d
-    return 0.5 * np.sqrt(dd[:, 0] + dd[:, 1] + dd[:, 2])
+def _bloch_trace_distance(s, t) -> float:
+    """|s - t|/2 of two Bloch vectors: the trace distance of two qubit states."""
+    s1, s2, s3 = s
+    t1, t2, t3 = t
+    d1, d2, d3 = s1 - t1, s2 - t2, s3 - t3
+    return 0.5 * math.sqrt(d1 * d1 + d2 * d2 + d3 * d3)
 
 
 def fidelity(q: PureQubit, rho: np.ndarray) -> float:
     """Overlap <psi| rho |psi> between a pure target and a density matrix, as (1 + s.t)/2."""
     _require_density(rho, 2)
-    return float(_bloch_fidelity(_bloch_rows(_pauli_stokes(rho)), _pure_rows([q]))[0])
+    s = _pauli_stokes(rho)
+    return _bloch_fidelity((s.s1, s.s2, s.s3), _pure_rows([q])[0].tolist())
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of (a - b): half the Euclidean distance between the Bloch vectors."""
     _require_density(a, 2)
     _require_density(b, 2)
-    s = _bloch_rows(_pauli_stokes(a), _pauli_stokes(b))
-    return float(_bloch_trace_distance(s[:1], s[1:])[0])
+    s, t = _pauli_stokes(a), _pauli_stokes(b)
+    return _bloch_trace_distance((s.s1, s.s2, s.s3), (t.s1, t.s2, t.s3))

@@ -23,15 +23,19 @@ array numpy itself would make of that list, so the stream is the same. A
 step's reported `seed` is its part of that generator's entropy, so the three
 step seeds together reproduce the draw.
 
-One array core, `_tomography`, runs the protocol on n Bloch vectors at once:
-one generator per state, then readouts, projection and scores as arrays. The
-batch keeps the counts: a row's `SampleEstimate`s are built by `_estimate`
-only when the row becomes a result. `run_tomography` is its n = 1 case and a
-CLI sweep or trial set is one call; `states._pure_rows` reads the batch's
-pure truths in one array pass, equal bit for bit to reading them one at a time.
-A (1, s) is summed elementwise in a fixed order, not as a matrix product,
-whose rounding depends on the number of rows: a state's numbers do not
-depend on the size of its batch.
+One core, `_tomography`, runs the protocol on n Bloch vectors at once. The
+exact readout is one array pass over the batch; then `_row` finishes each
+state in plain floats: it draws the state's three counts from its one
+generator and forms the estimate, its radial projection into the ball and
+both scores as closed forms of the counts and the truth. The batch holds each
+of these as a column of plain Python values, read as they are by results and
+reports, and keeps the counts: a row's `SampleEstimate`s are built by
+`_estimate` only when the row becomes a result. `run_tomography` is its
+n = 1 case and a CLI sweep or trial set is one call; `states._pure_rows`
+reads the batch's pure truths in one array pass, equal bit for bit to reading
+them one at a time. A (1, s) is summed elementwise in a fixed order, not as a
+matrix product, whose rounding depends on the number of rows: a state's
+numbers do not depend on the size of its batch.
 """
 
 from __future__ import annotations
@@ -212,7 +216,7 @@ _INSTRUMENT.setflags(write=False)
 _LABELS = tuple(step.label for step in _PROTOCOL_STEPS)
 _STEPS = range(len(_LABELS))
 _BLOCH_ORDER = [_LABELS.index(label) for label in ("S1", "S2", "S3")]  # the steps reading s1, s2, s3
-_E3 = np.array([0.0, 0.0, 1.0])
+_IN_BLOCH_ORDER = operator.itemgetter(*_BLOCH_ORDER)
 
 
 def _plus_probabilities(truth: np.ndarray) -> np.ndarray:
@@ -273,17 +277,17 @@ def _estimate(k: int, shots: int, seed: int, label: str) -> SampleEstimate:
     return SampleEstimate(_mean(k, shots), shots, std_error, seed, label)
 
 
-def _project(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, projected): each row of an (n, 3) Bloch array beyond 1 + DEFAULT_TOL scaled onto the sphere.
+def _project(x: float, y: float, z: float) -> tuple[tuple[float, float, float], bool]:
+    """((x, y, z), projected): a Bloch vector beyond 1 + DEFAULT_TOL scaled onto the sphere.
 
-    Exact round trips of physical states never move. The rows' squared norms
-    must not overflow: the core's rows lie in [-1, 1], and `reconstruct`
-    rejects any other row first.
+    Exact round trips of physical states never move. The squared norm must
+    not overflow: the core's vectors lie in [-1, 1]^3, and `reconstruct`
+    rejects any other vector first.
     """
-    sq = t * t
-    norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
-    projected = norm > 1.0 + DEFAULT_TOL
-    return t / np.where(projected, norm, 1.0)[:, None], projected
+    norm = math.sqrt(x * x + y * y + z * z)
+    if norm > 1.0 + DEFAULT_TOL:
+        return (x / norm, y / norm, z / norm), True
+    return (x, y, z), False
 
 
 def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
@@ -299,13 +303,33 @@ def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
     """
     if not math.isfinite(s.bloch_norm()):
         raise ValueError("Bloch vector norm overflows")
-    (t,), (projected,) = _project(_bloch_rows(s))
-    return density_from_stokes(StokesVector(s.s0, *t.tolist())), bool(projected)
+    t, projected = _project(s.s1, s.s2, s.s3)
+    return density_from_stokes(StokesVector(s.s0, *t)), projected
 
 
-# A batch of n states drawn at `shots` per step: n lists of the three steps' +1 counts and of their
-# seeds, in protocol order; (n, 3) Bloch arrays of the exact and sampled readouts and of the sample
-# projected into the ball (bloch_hat); then (n,) flags and scores.
+def _row(p_row: list[float], truth_row: list[float], shots: int, step_seeds: list[int]) -> tuple:
+    """One state of the batch, from its P(+1) values, its Bloch vector and its step seeds, in plain floats.
+
+    Draws the state's three counts, then forms its estimate (the step means
+    in Bloch order), the estimate projected into the ball (bloch_hat) and
+    both scores against the truth. The scores read t back from
+    rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does (s3 as
+    (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
+    """
+    counts = _draw(p_row, shots, step_seeds)
+    k1, k2, k3 = _IN_BLOCH_ORDER(counts)
+    estimate = (_mean(k1, shots), _mean(k2, shots), _mean(k3, shots))
+    t, projected = _project(*estimate)
+    t1, t2, t3 = t
+    t_hat = (0.5 * (0.0 + t1) - 0.5 * (0.0 - t1), 0.5 * (0.0 + t2) - 0.5 * (0.0 - t2),
+             0.5 * (1.0 + t3) - 0.5 * (1.0 - t3))
+    return counts, estimate, t, projected, _bloch_fidelity(t_hat, truth_row), _bloch_trace_distance(t_hat, truth_row)
+
+
+# A batch of n states drawn at `shots` per step, as columns with a plain Python value per row: lists
+# of the three steps' +1 counts and of their seeds, in protocol order; the exact and sampled Bloch
+# readouts and the sample projected into the ball (bloch_hat), three floats each; then the
+# projected flags and the two scores.
 _Batch = namedtuple("_Batch", "shots counts step_seeds exact estimate bloch_hat projected fidelity trace_distance")
 
 
@@ -315,35 +339,31 @@ def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
     Row i's step seeds are derive_seed(seeds[i], j) for the steps j, and
     `_draw` seeds the row's one generator with all three. Each state seed is
     checked once, and its step seeds are mixed by the unchecked `_splitmix`.
+    The readout is one array pass over the batch; `_row` finishes each state.
 
     The batch keeps counts, not SampleEstimates: only a row turned into a
-    result (`_result`) builds its three. The scores read t back from
-    rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does (s3 as
-    (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
+    result (`_result`) builds its three.
     """
     shots = _check_shots(shots)
     p, _, exact = _readout(truth)
     step_seeds = [list(map(_splitmix, repeat(seed), _STEPS)) for seed in map(_check_seed, seeds)]
-    counts = list(map(_draw, p.tolist(), repeat(shots), step_seeds))
-    estimate = np.array([[_mean(row[j], shots) for j in _BLOCH_ORDER] for row in counts])
-    t, projected = _project(estimate)
-    t_hat = 0.5 * (_E3 + t) - 0.5 * (_E3 - t)  # t as `_pauli_stokes` reads it back from rho_hat
-    fid, dist = _bloch_fidelity(t_hat, truth), _bloch_trace_distance(t_hat, truth)
-    return _Batch(shots, counts, step_seeds, exact, estimate, t, projected, fid, dist)
+    rows = map(_row, p.tolist(), truth.tolist(), repeat(shots), step_seeds)
+    counts, estimate, bloch_hat, projected, fid, dist = zip(*rows)
+    return _Batch(shots, counts, step_seeds, exact.tolist(), estimate, bloch_hat, projected, fid, dist)
 
 
 def _result(batch: _Batch, i: int, **reconstruction) -> TomographyResult:
     """Row i of a batch as a TomographyResult, SampleEstimates built from its counts, plus any reconstruction fields."""
-    est = StokesVector(1.0, *batch.estimate[i].tolist())
+    est = StokesVector(1.0, *batch.estimate[i])
     per_step = tuple(map(_estimate, batch.counts[i], repeat(batch.shots), batch.step_seeds[i], _LABELS))
-    return TomographyResult(est, per_step, stokes_exact=StokesVector(1.0, *batch.exact[i].tolist()), **reconstruction)
+    return TomographyResult(est, per_step, stokes_exact=StokesVector(1.0, *batch.exact[i]), **reconstruction)
 
 
 def _scored(batch: _Batch, i: int) -> TomographyResult:
     """Row i of a batch with its reconstruction and scores; `_project` has put bloch_hat in the ball."""
-    rho_hat = _stokes_density(1.0, *batch.bloch_hat[i].tolist())
-    return _result(batch, i, rho_hat=rho_hat, projected=bool(batch.projected[i]),
-                   fidelity=float(batch.fidelity[i]), trace_dist=float(batch.trace_distance[i]))
+    rho_hat = _stokes_density(1.0, *batch.bloch_hat[i])
+    return _result(batch, i, rho_hat=rho_hat, projected=batch.projected[i],
+                   fidelity=batch.fidelity[i], trace_dist=batch.trace_distance[i])
 
 
 def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:

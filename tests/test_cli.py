@@ -1,6 +1,7 @@
 """Tests for the qtomo command line: schemas, determinism, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 import qtomo
 import qtomo.tomography
-from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _SCALARS, _csv_cell, _dumps, _template, build_parser, main
+from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _HANDLERS, _SCALARS, _csv_cell, _dumps, _template, build_parser, main
 from qtomo.states import PureQubit, pure_density
-from qtomo.tomography import derive_seed, exact_stokes, run_tomography
+from qtomo.tomography import derive_seed, estimate_stokes, exact_stokes, run_tomography
 
 TOP_KEYS = {"command", "inputs", "steps", "stokes", "reconstruction", "metrics", "seed"}
 
@@ -51,6 +52,12 @@ class TestExact:
         np.testing.assert_allclose([s["s0"], s["s1"], s["s2"], s["s3"]], [1, 0, 1, 0], atol=1e-12)
         assert report["metrics"]["stokes_residual"] <= 1e-12
         assert {step["label"] for step in report["steps"]} == {"S1", "S2", "S3"}
+
+    def test_negative_zero_angles_echo_as_zero(self, capsys):
+        for command in ("exact", "bloch", "sample"):
+            code, out, err = run_cli(capsys, [command, "--theta", "-0.0", "--phi", "-0.0", "--seed", "1"])
+            assert code == EXIT_OK, err
+            assert '"inputs": {\n    "theta": 0,\n    "phi": 0' in out, command
 
     def test_pole_report(self, capsys):
         report = run_json(capsys, ["exact", "--theta", "0", "--phi", "0"])
@@ -541,8 +548,54 @@ class TestLazyPerStep:
     def test_each_result_builds_three(self, capsys, estimates_built):
         run_tomography(PureQubit(0.3, 0.4), 16, 1)
         assert len(estimates_built) == 3
+        # A JSON trial set builds trial 0's result only; its per-trial scores are batch columns.
         run_json(capsys, ["sample", "--theta", "0.3", "--phi", "0.4", "--trials", "4", "--seed", "3"])
-        assert len(estimates_built) == 3 + 4 * 3
+        assert len(estimates_built) == 3 + 3
+        # CSV writes a row per trial, each from its own result.
+        argv = ["sample", "--theta", "0.3", "--phi", "0.4", "--trials", "4", "--seed", "3", "--format", "csv"]
+        assert run_cli(capsys, argv)[0] == EXIT_OK
+        assert len(estimates_built) == 3 + 3 + 3 + 4 * 3
+
+
+def _numbers(obj):
+    """Every value in a report that is not a dict, list, str or None, found through its dicts and lists."""
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _numbers(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _numbers(v)
+    elif obj is not None and not isinstance(obj, str):
+        yield obj
+
+
+class TestNativeNumbers:
+    """Results and reports hold numbers of exact type float, int or bool, which the emitter's slots format."""
+
+    def test_result_fields(self):
+        results = [
+            run_tomography(PureQubit(0.0, 0.0), 16, 7),  # projected
+            run_tomography(PureQubit(1.1, 2.3), 4096, 8),
+            estimate_stokes(pure_density(PureQubit(2.0, 0.5)), 16, 9),
+        ]
+        for res in results:
+            fields = [(bool, res.projected)]
+            fields += [(float, x) for v in (res.stokes_est, res.stokes_exact) for x in dataclasses.astuple(v)]
+            fields += [(t, x) for e in res.per_step for t, x in zip((float, int, float, int), dataclasses.astuple(e))]
+            if res.fidelity is not None:
+                fields += [(float, res.fidelity), (float, res.trace_dist)]
+            assert [type(x) for _, x in fields] == [t for t, _ in fields], res
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--theta", "0", "--phi", "0", "--shots", "16", "--seed", "7"],
+        ["sample", "--theta", "2.9", "--phi", "3.0", "--shots", "64", "--seed", "5", "--trials", "5"],
+        ["sweep", "--theta-steps", "3", "--phi-steps", "2", "--shots", "16", "--seed", "3"],
+    ])
+    def test_report_numbers(self, argv):
+        args = build_parser().parse_args(argv)
+        report, _, rows = _HANDLERS[args.command](args)
+        numbers = list(_numbers(report)) + list(_numbers(list(rows)))
+        assert numbers and {type(x) for x in numbers} <= {float, int, bool}
 
 
 # The emitter before scalars were dispatched by exact type, kept as the oracle.

@@ -58,6 +58,11 @@ class TestPureQubit:
         with pytest.raises(ValueError):
             PureQubit(4.0, 0.0)
 
+    def test_negative_zero_angle_is_stored_as_zero(self):
+        assert math.copysign(1.0, PureQubit(-0.0).theta) == 1.0
+        assert math.copysign(1.0, PureQubit(-0.0, -0.0).phi) == 1.0
+        assert math.copysign(1.0, Strategy(-0.0).beta) == 1.0
+
     def test_phi_is_normalized(self):
         assert PureQubit(0.5, 2.0 * math.pi).phi == 0.0
         assert PureQubit(0.5, -math.pi / 2).phi == pytest.approx(1.5 * math.pi)
@@ -235,7 +240,7 @@ class TestStokesDensityMatchesPauliSum:
         st.integers(0, 2**64 - 1),
     )
     def test_rho_hat_of_run_tomography(self, q, shots, seed):
-        (t,) = _tomography(_pure_rows([q]), shots, [seed]).bloch_hat.tolist()
+        (t,) = _tomography(_pure_rows([q]), shots, [seed]).bloch_hat
         self.assert_bytes_equal(run_tomography(q, shots, seed).rho_hat, (1.0, *t))
 
 

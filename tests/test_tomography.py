@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from qtomo.states import (
 from qtomo.tomography import (
     ALICE_PAYOFF,
     BOB_PAYOFF,
+    _BLOCH_ORDER,
     _INSTRUMENT,
     _LABELS,
     _draw,
     _instrument_row,
+    _mean,
     _plus_probabilities,
     _result,
     _tomography,
@@ -527,6 +530,15 @@ class TestProjectionIsLeastSquares:
         assert max_abs(rho_hat - _nearest_state(t)) <= 1e-12
 
 
+def _bits(x):
+    """x with every float written as float.hex, through lists and tuples: equal means equal bit for bit."""
+    if type(x) is float:
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    return x
+
+
 class TestBatchCore:
     """`_tomography` gives each state the same numbers in a batch of any size."""
 
@@ -544,8 +556,87 @@ class TestBatchCore:
             assert batch.step_seeds[i] == a.step_seeds[0] == [derive_seed(seeds[i], j) for j in range(3)], i
             assert _result(batch, i).per_step == _result(a, 0).per_step, i
         for name in ("exact", "estimate", "bloch_hat", "projected", "fidelity", "trace_distance"):
-            joined = np.concatenate([getattr(a, name) for a in alone])
-            assert getattr(batch, name).tobytes() == joined.tobytes(), name
+            assert len(getattr(batch, name)) == len(rows) and all(len(getattr(a, name)) == 1 for a in alone), name
+            assert _bits(getattr(batch, name)) == [_bits(getattr(a, name)[0]) for a in alone], name
+
+
+# The array stage that followed the draw before each state was finished in its own row, kept as the oracle.
+_E3 = np.array([0.0, 0.0, 1.0])
+
+
+def _reference_project(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sq = t * t
+    norm = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    projected = norm > 1.0 + DEFAULT_TOL
+    return t / np.where(projected, norm, 1.0)[:, None], projected
+
+
+def _reference_bloch_fidelity(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    st = s * t
+    return np.minimum(np.maximum(0.5 * (1.0 + (st[:, 0] + st[:, 1] + st[:, 2])), 0.0), 1.0)
+
+
+def _reference_bloch_trace_distance(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    d = s - t
+    dd = d * d
+    return 0.5 * np.sqrt(dd[:, 0] + dd[:, 1] + dd[:, 2])
+
+
+def _reference_post_draw(truth: np.ndarray, shots: int, counts: list[list[int]]) -> tuple[np.ndarray, ...]:
+    """(estimate, bloch_hat, projected, fidelity, trace_distance) of each row, as (n, 3) and (n,) arrays."""
+    estimate = np.array([[_mean(row[j], shots) for j in _BLOCH_ORDER] for row in counts])
+    t, projected = _reference_project(estimate)
+    t_hat = 0.5 * (_E3 + t) - 0.5 * (_E3 - t)  # t as `_pauli_stokes` reads it back from rho_hat
+    fid, dist = _reference_bloch_fidelity(t_hat, truth), _reference_bloch_trace_distance(t_hat, truth)
+    return estimate, t, projected, fid, dist
+
+
+# Truth rows: the six cardinal states, poles among them, and coordinates that are signed zeros or subnormal.
+CARDINAL_ROWS = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+SUBNORMAL_COORDS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0)
+truth_rows = st.one_of(
+    st.sampled_from(CARDINAL_ROWS),
+    st.tuples(*[st.sampled_from(SUBNORMAL_COORDS)] * 3).filter(lambda v: sum(c * c for c in v) <= 1.0),
+    bloch_points,
+)
+
+
+class TestRowsMatchTheArrayStage:
+    """Each state's estimate, projection and scores equal the old array stage's, bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(truth, shots, batch):
+        estimate, bloch_hat, projected, fid, dist = _reference_post_draw(truth, shots, batch.counts)
+        assert _bits(batch.estimate) == _bits(estimate.tolist())
+        assert _bits(batch.bloch_hat) == _bits(bloch_hat.tolist())
+        assert list(batch.projected) == projected.tolist()
+        assert _bits(batch.fidelity) == _bits(fid.tolist())
+        assert _bits(batch.trace_distance) == _bits(dist.tolist())
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(truth_rows, st.integers(0, 2**64 - 1)), min_size=1, max_size=8), st.integers(1, 10**6))
+    def test_drawn_counts(self, rows, shots):
+        truth = np.array([vec for vec, _ in rows])
+        batch = _tomography(truth, shots, [seed for _, seed in rows])
+        self.assert_rows_match(truth, shots, batch)
+
+    # Counts of any value, also those the sampler seldom draws: every step at 0 or at shots projects.
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 10**6).flatmap(lambda shots: st.tuples(st.just(shots), st.lists(
+        st.tuples(truth_rows, st.lists(st.integers(0, shots), min_size=3, max_size=3)), min_size=1, max_size=8,
+    ))))
+    @example((1, [((0.0, 0.0, 1.0), [1, 1, 1])]))
+    # |estimate| = sqrt(1 + 2/999999**2), beyond 1 but within DEFAULT_TOL of it: not projected.
+    @example((999_999, [((1.0, 0.0, 0.0), [500_000, 999_999, 500_000])]))
+    @example((10**6, [((5e-324, -0.0, 1.0), [0, 10**6, 500_000]), ((-1.0, 0.0, 0.0), [0, 0, 0])]))
+    def test_any_counts(self, case):
+        shots, rows = case
+        truth = np.array([vec for vec, _ in rows])
+        counts = [k for _, k in rows]
+        with mock.patch.object(qtomo.tomography, "_draw", side_effect=counts):
+            batch = _tomography(truth, shots, list(range(len(rows))))
+        assert list(batch.counts) == counts
+        self.assert_rows_match(truth, shots, batch)
 
 
 CORNER_THETAS = (0.0, HALF_PI, math.pi, 1e-300, 5e-324)
