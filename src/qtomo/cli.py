@@ -7,14 +7,18 @@ Floats are serialized with 17 significant digits so that reports round-trip
 exactly and repeated seeded runs are byte-identical.
 
 The argument parser is built once per process (`build_parser` is cached),
-so a driver that calls `main` many times in one process pays for it once;
-a sweep reads its grid's pure states in one array pass (`_pure_rows`) and
-samples them in one batch that keeps counts, building no per-step
-`SampleEstimate`, and writes each cell from the batch's columns of plain
-Python numbers; a JSON trial set builds only trial 0's `TomographyResult`
-and reads every trial's scores from the same columns. `exact` and `bloch`
-read through the one exact readout, `_readout`. No command eigen-checks a
-state it built or `PureQubit` checked.
+so a driver that calls `main` many times in one process pays for it once.
+A sweep builds its grid as (theta, phi) pairs of Python floats
+(`_sweep_angles`), equal bit for bit to the angles `PureQubit` stores for
+numpy's `linspace`/`arange` grid, and builds no `PureQubit`: the angles are
+in range by construction. It reads their pure states in one array pass
+(`_pure_rows`), samples them in one batch that keeps counts, building no
+per-step `SampleEstimate`, and writes each cell from the batch's columns of
+plain Python numbers. A JSON trial set builds only trial 0's
+`TomographyResult` and reads every trial's scores from the same columns; a
+CSV trial set reuses it for trial 0's row. `exact` and `bloch` read through
+the one exact readout, `_readout`. No command eigen-checks a state it built
+or `PureQubit` checked.
 The one emitter, `_dumps`, writes each dict through a `%` template cached
 per shape (keys, exact value types, indent level): the template formats the
 numbers of exact type float or int itself, so a sweep cell is one C call,
@@ -27,7 +31,8 @@ master with the unchecked `_splitmix`, and build their CSV rows only when
 CSV is written.
 
 Exit codes: 0 success, 2 validation/usage error, 3 I/O error (the --out
-file or stdout cannot be written).
+file or stdout cannot be written). An --out file is written in binary
+mode, as the UTF-8 bytes of the report's text.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .states import PureQubit, StokesVector, _bloch_rows, _pauli_stokes, _pure_rows, pure_density
+from .states import TWO_PI, PureQubit, StokesVector, _bloch_rows, _pauli_stokes, _pure_rows, pure_density
 from .tomography import SAMPLER, _IN_BLOCH_ORDER, _readout, _scored, _splitmix, _tomography, protocol_steps, reconstruct
 
 EXIT_OK = 0
@@ -265,7 +270,7 @@ def _cmd_sample(args):
     q = _angles(args)
     master = _resolve_seed(args)
     trial_seeds = [master] if args.trials == 1 else [_splitmix(master, t) for t in range(args.trials)]
-    truth = np.repeat(_pure_rows([q]), args.trials, axis=0)
+    truth = np.repeat(_pure_rows([(q.theta, q.phi)]), args.trials, axis=0)
     batch = _tomography(truth, args.shots, trial_seeds)
     first = _scored(batch, 0)
     steps = [
@@ -309,11 +314,26 @@ def _cmd_sample(args):
         + _RHO_COLUMNS
         + ["projected", "fidelity", "trace_distance"]
     )
-    rows = (_sample_row(q, _scored(batch, t), t, ts) for t, ts in enumerate(trial_seeds))
+    rows = (_sample_row(q, _scored(batch, t) if t else first, t, ts) for t, ts in enumerate(trial_seeds))
     return report, header, rows
 
 
 _SWEEP_KEYS = ["theta", "phi", "s1", "s2", "s3", "s1_hat", "s2_hat", "s3_hat", "fidelity", "seed"]
+
+
+def _sweep_angles(theta_steps: int, phi_steps: int) -> list[tuple[float, float]]:
+    """The sweep grid's (theta, phi) pairs, theta-major, as Python floats.
+
+    theta_i = i * (pi / (n - 1)) for i < n - 1, then pi itself, as
+    `np.linspace(0.0, pi, n)` gives; phi_j = j * (2 pi / m), as
+    `np.arange(m) * (2 pi / m)` gives. Every theta lies in [0, pi] and is
+    never -0.0, and (m - 1) * fl(2 pi / m) < 2 pi, so these are the angles
+    `PureQubit` would store: no cell needs a check or a wrap.
+    """
+    dtheta, dphi = math.pi / (theta_steps - 1), TWO_PI / phi_steps
+    thetas = [i * dtheta for i in range(theta_steps - 1)] + [math.pi]
+    phis = [j * dphi for j in range(phi_steps)]
+    return [(theta, phi) for theta in thetas for phi in phis]
 
 
 def _cmd_sweep(args):
@@ -322,15 +342,13 @@ def _cmd_sweep(args):
     _check_count("grid cells", args.theta_steps * args.phi_steps, MAX_CELLS)
     _check_count("shots", args.shots, MAX_SHOTS)
     master = _resolve_seed(args)
-    thetas = np.linspace(0.0, math.pi, args.theta_steps)
-    phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
-    states = [PureQubit(theta, phi) for theta in thetas.tolist() for phi in phis.tolist()]
-    seeds = [_splitmix(master, k) for k in range(len(states))]
-    batch = _tomography(_pure_rows(states), args.shots, seeds)
-    columns = zip(states, batch.exact, batch.estimate, batch.fidelity, seeds)
+    angles = _sweep_angles(args.theta_steps, args.phi_steps)
+    seeds = [_splitmix(master, k) for k in range(len(angles))]
+    batch = _tomography(_pure_rows(angles), args.shots, seeds)
+    columns = zip(angles, batch.exact, batch.estimate, batch.fidelity, seeds)
     cells = [
-        dict(zip(_SWEEP_KEYS, [q.theta, q.phi, *exact, *est, fid, seed]))
-        for q, exact, est, fid, seed in columns
+        dict(zip(_SWEEP_KEYS, [theta, phi, *exact, *est, fid, seed]))
+        for (theta, phi), exact, est, fid, seed in columns
     ]
     report = {
         "command": "sweep",
@@ -370,7 +388,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_bloch(args):
     q = _angles(args)
-    s = StokesVector(1.0, *_readout(_pure_rows([q])).exact[0].tolist())
+    s = StokesVector(1.0, *_readout(_pure_rows([(q.theta, q.phi)])).exact[0].tolist())
     # Each step's plane pins one Bloch coordinate (x = s1, y = s2, z = s3);
     # the three planes meet at the Bloch point.
     point = [s.s1, s.s2, s.s3]
@@ -469,8 +487,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with open(args.out, "wb") as fh:
+                fh.write(text.encode())
     except OSError as exc:
         target = "stdout" if args.out is None else args.out
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)

@@ -6,10 +6,13 @@ rho = (1/2) sum_i s_i sigma_i with s0 = 1; the real coefficients
 states and strictly inside the ball for mixed ones. Pure states carry the
 usual polar parameterization |psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 `pure_density` and the unchecked batch reader `_pure_rows` both form
-|psi><psi| through `_pure_densities`, so they agree bit for bit. The reverse
-map, rho from (s0, s1, s2, s3), is formed only by `_stokes_density`:
-`density_from_stokes` calls it after its checks, and the tomography core
-calls it for a reconstruction it has already put in the ball.
+|psi><psi| through `_pure_densities`, so they agree bit for bit. The batch
+reader takes (theta, phi) pairs of floats: a `PureQubit` passes
+`(q.theta, q.phi)`, and a CLI sweep passes the angles of its grid as it
+built them, with no `PureQubit` per cell. The reverse map, rho from
+(s0, s1, s2, s3), is formed only by `_stokes_density`: `density_from_stokes`
+calls it after its checks, and the tomography core calls it for a
+reconstruction it has already put in the ball.
 """
 
 from __future__ import annotations
@@ -84,24 +87,25 @@ class StokesVector:
         return math.sqrt(self.s1 * self.s1 + self.s2 * self.s2 + self.s3 * self.s3)
 
 
-def _amplitudes(q: PureQubit) -> tuple[float, complex]:
+def _amplitudes(theta: float, phi: float) -> tuple[float, complex]:
     """The amplitudes (cos(theta/2), e^{i phi} sin(theta/2)) of |psi> on |0> and |1>."""
-    return math.cos(q.theta / 2.0), cmath.exp(1j * q.phi) * math.sin(q.theta / 2.0)
+    return math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)
 
 
-def _pure_densities(states) -> np.ndarray:
-    """|psi><psi| of each `PureQubit`, an (n, 2, 2) array: the one place the products are formed.
+def _pure_densities(angles) -> np.ndarray:
+    """|psi><psi| at each (theta, phi) pair, an (n, 2, 2) array: the one place the products are formed.
 
-    The products stay in numpy: Python's complex product rounds b * conj(b)
-    differently in the last bit.
+    Unchecked: each theta must lie in [0, pi] and each phi in [0, 2 pi), as
+    `PureQubit` stores them. The products stay in numpy: Python's complex
+    product rounds b * conj(b) differently in the last bit.
     """
-    psi = np.array([_amplitudes(q) for q in states], dtype=np.complex128)
+    psi = np.array([_amplitudes(theta, phi) for theta, phi in angles], dtype=np.complex128)
     return psi[:, :, None] * psi.conj()[:, None, :]
 
 
 def pure_density(q: PureQubit) -> np.ndarray:
     """Density matrix |psi><psi| of the pure state at (theta, phi)."""
-    return cmatrix(_pure_densities([q])[0])
+    return cmatrix(_pure_densities([(q.theta, q.phi)])[0])
 
 
 def _entry_stokes(r00, r01, r10, r11):
@@ -130,15 +134,16 @@ def _pauli_stokes(rho: np.ndarray) -> StokesVector:
     return StokesVector(*_entry_stokes(r00, r01, r10, r11))
 
 
-def _pure_rows(states) -> np.ndarray:
-    """The Bloch vectors of the given `PureQubit`s, as the rows of an (n, 3) array.
+def _pure_rows(angles) -> np.ndarray:
+    """The Bloch vectors of the pure states at the given (theta, phi) pairs, as the rows of an (n, 3) array.
 
     One array pass: `_entry_stokes` reads the entries of `_pure_densities`
-    as `_pauli_stokes` does, so each row equals `_pauli_stokes(pure_density(q))`
-    bit for bit. No density check: `PureQubit` has checked the angles, so
-    each |psi><psi| is a valid pure state.
+    as `_pauli_stokes` does, so the row of `(q.theta, q.phi)` equals
+    `_pauli_stokes(pure_density(q))` bit for bit. No density check: the
+    angles are in range (`PureQubit` has checked them, or the caller built
+    them so), so each |psi><psi| is a valid pure state.
     """
-    rho = _pure_densities(states)
+    rho = _pure_densities(angles)
     s = _entry_stokes(rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1])
     return np.array(s[1:]).T
 
@@ -196,7 +201,7 @@ def fidelity(q: PureQubit, rho: np.ndarray) -> float:
     """Overlap <psi| rho |psi> between a pure target and a density matrix, as (1 + s.t)/2."""
     _require_density(rho, 2)
     s = _pauli_stokes(rho)
-    return _bloch_fidelity((s.s1, s.s2, s.s3), _pure_rows([q])[0].tolist())
+    return _bloch_fidelity((s.s1, s.s2, s.s3), _pure_rows([(q.theta, q.phi)])[0].tolist())
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

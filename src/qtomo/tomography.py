@@ -32,10 +32,11 @@ of these as a column of plain Python values, read as they are by results and
 reports, and keeps the counts: a row's `SampleEstimate`s are built by
 `_estimate` only when the row becomes a result. `run_tomography` is its
 n = 1 case and a CLI sweep or trial set is one call; `states._pure_rows`
-reads the batch's pure truths in one array pass, equal bit for bit to reading
-them one at a time. A (1, s) is summed elementwise in a fixed order, not as a
-matrix product, whose rounding depends on the number of rows: a state's
-numbers do not depend on the size of its batch.
+reads the batch's pure truths from their (theta, phi) pairs in one array
+pass, equal bit for bit to reading them one at a time. A (1, s) is summed
+elementwise in a fixed order, not as a matrix product, whose rounding
+depends on the number of rows: a state's numbers do not depend on the size
+of its batch.
 """
 
 from __future__ import annotations
@@ -382,4 +383,4 @@ def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:
     (no density check); the scores equal `fidelity(q, rho_hat)` and
     `trace_distance(pure_density(q), rho_hat)`.
     """
-    return _scored(_tomography(_pure_rows([q]), shots, [seed]), 0)
+    return _scored(_tomography(_pure_rows([(q.theta, q.phi)]), shots, [seed]), 0)

@@ -361,13 +361,20 @@ class TestSeedSources:
 
     def test_import_loads_no_openssl(self):
         # Fresh entropy comes from os.urandom: importing the CLI pulls in
-        # neither `secrets` nor the hashlib modules it imports.
+        # neither `secrets` nor the hashlib modules it imports. A command that
+        # draws nothing does not load numpy's generators either.
         src = str(Path(qtomo.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = "import sys, qtomo.cli; print(sorted({'secrets', 'hashlib', '_hashlib'} & set(sys.modules)))"
+        probe = (
+            "import os, sys, qtomo.cli\n"
+            "modules = {'secrets', 'hashlib', '_hashlib', 'numpy.random'}\n"
+            "print(sorted(modules & set(sys.modules)))\n"
+            "assert qtomo.cli.main(['exact', '--theta', '1', '--phi', '2', '--out', os.devnull]) == 0\n"
+            "print(sorted(modules & set(sys.modules)))\n"
+        )
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n[]\n"
 
 
 class TestOutputFile:
@@ -379,16 +386,28 @@ class TestOutputFile:
         report = json.loads(out_path.read_text(encoding="utf-8"))
         assert report["command"] == "exact"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_file_holds_the_bytes_written_to_stdout(self, capsys, tmp_path, fmt):
+        argv = ["sweep", "--theta-steps", "3", "--phi-steps", "2", "--shots", "16", "--seed", "5", "--format", fmt]
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_OK, err
+        out_path = tmp_path / "report"
+        out_path.write_bytes(b"stale text, longer than nothing")
+        assert run_cli(capsys, argv + ["--out", str(out_path)]) == (EXIT_OK, "", "")
+        assert out_path.read_bytes() == out.encode()
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# One seeded report per command in the default JSON format. A deliberate
-# change to a report regenerates its file with the same arguments plus
-# `--out tests/golden/<command>.json`.
+# One seeded report per command in the default JSON format, plus a sweep
+# over a non-square odd grid, which pins the last bits of its interior
+# angles. A deliberate change to a report regenerates its file with the same
+# arguments plus `--out tests/golden/<key>.json`.
 GOLDEN_ARGS = {
     "exact": ["exact", "--theta", "1.234567", "--phi", "4.2", "--seed", "7"],
     "sample": ["sample", "--theta", "0.7", "--phi", "2.1", "--shots", "16", "--seed", "42"],
     "sweep": ["sweep", "--theta-steps", "2", "--phi-steps", "2", "--seed", "42"],
+    "sweep_3x7": ["sweep", "--theta-steps", "3", "--phi-steps", "7", "--shots", "16", "--seed", "42"],
     "reconstruct": ["reconstruct", "--s1", "0.6", "--s2", "0.8", "--s3", "0.3", "--seed", "7"],
     "bloch": ["bloch", "--theta", "1.234567", "--phi", "4.2", "--seed", "7"],
 }
@@ -551,10 +570,10 @@ class TestLazyPerStep:
         # A JSON trial set builds trial 0's result only; its per-trial scores are batch columns.
         run_json(capsys, ["sample", "--theta", "0.3", "--phi", "0.4", "--trials", "4", "--seed", "3"])
         assert len(estimates_built) == 3 + 3
-        # CSV writes a row per trial, each from its own result.
+        # CSV writes a row per trial, each from its own result; trial 0's is the report's.
         argv = ["sample", "--theta", "0.3", "--phi", "0.4", "--trials", "4", "--seed", "3", "--format", "csv"]
         assert run_cli(capsys, argv)[0] == EXIT_OK
-        assert len(estimates_built) == 3 + 3 + 3 + 4 * 3
+        assert len(estimates_built) == 3 + 3 + 4 * 3
 
 
 def _numbers(obj):

@@ -240,7 +240,7 @@ class TestStokesDensityMatchesPauliSum:
         st.integers(0, 2**64 - 1),
     )
     def test_rho_hat_of_run_tomography(self, q, shots, seed):
-        (t,) = _tomography(_pure_rows([q]), shots, [seed]).bloch_hat
+        (t,) = _tomography(_pure_rows([(q.theta, q.phi)]), shots, [seed]).bloch_hat
         self.assert_bytes_equal(run_tomography(q, shots, seed).rho_hat, (1.0, *t))
 
 

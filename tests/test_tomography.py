@@ -1,5 +1,6 @@
 """Tests for the protocol steps, the shot sampler, and reconstruction."""
 
+import cmath
 import itertools
 import math
 import tracemalloc
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 
 import qtomo.game
 import qtomo.tomography
+from qtomo.cli import MAX_CELLS, _sweep_angles
 from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state, measurement_distribution, payoff_exact
 from qtomo.linalg import DEFAULT_TOL, cmatrix, is_density, max_abs
 from qtomo.states import (
+    TWO_PI,
     PureQubit,
     StokesVector,
     _pauli_stokes,
@@ -230,7 +233,7 @@ class TestSamplePayoff:
             assert est.std_error == 0.0
 
     def test_bit_for_bit_reproducible(self):
-        truth = _pure_rows([PureQubit(0.8, 1.7)])
+        truth = _pure_rows([(0.8, 1.7)])
         a = _result(_tomography(truth, 5000, [321]), 0).per_step
         b = _result(_tomography(truth, 5000, [321]), 0).per_step
         assert a == b
@@ -238,7 +241,7 @@ class TestSamplePayoff:
     def test_concentration_near_certain_outcome(self):
         # S2 reads sin(theta) sin(phi) = 1 here, so nearly every draw is +1.
         shots, s2 = 10_000, _LABELS.index("S2")
-        batch = _tomography(_pure_rows([PureQubit(HALF_PI, HALF_PI)] * 100), shots,
+        batch = _tomography(_pure_rows([(HALF_PI, HALF_PI)] * 100), shots,
                             [derive_seed(31415, k) for k in range(100)])
         hits = sum(abs((2 * row[s2] - shots) / shots - 1.0) <= 5.0 / math.sqrt(shots) for row in batch.counts)
         assert hits >= 95
@@ -252,7 +255,7 @@ class TestSamplePayoff:
                 assert 0.0 <= est.std_error <= 1.0 / math.sqrt(shots) + 1e-12
 
     def test_memory_does_not_grow_with_shots(self):
-        truth = _pure_rows([PureQubit(1.1, 2.3)])
+        truth = _pure_rows([(1.1, 2.3)])
         _tomography(truth, 1, [7])  # the first draw imports numpy's generator modules
         tracemalloc.start()
         try:
@@ -305,7 +308,7 @@ class TestCountSamplerEquivalence:
     CASES = {
         "four outcomes": ((-0.2, 0.3, -0.5), 16),
         "near certain": ((0.96, 0.1, -0.2), 32),
-        "generic S1 step": (tuple(_pure_rows([PureQubit(1.1, 2.3)])[0].tolist()), 64),
+        "generic S1 step": (tuple(_pure_rows([(1.1, 2.3)])[0].tolist()), 64),
     }
 
     def _chi_square(self, counts, m, p):
@@ -643,13 +646,42 @@ CORNER_THETAS = (0.0, HALF_PI, math.pi, 1e-300, 5e-324)
 CORNER_PHIS = (0.0, -0.0, HALF_PI, math.pi, 1.5 * math.pi, 5e-324)
 
 
+def _qubit_rows(states) -> np.ndarray:
+    """The Bloch rows of `PureQubit`s as `_pure_rows` formed them from the qubits' attributes, kept verbatim as the oracle."""
+    psi = np.array(
+        [(math.cos(q.theta / 2.0), cmath.exp(1j * q.phi) * math.sin(q.theta / 2.0)) for q in states],
+        dtype=np.complex128,
+    )
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    r00, r01, r10, r11 = rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1]
+    s = (
+        (r00 + r11).real + 0.0,
+        (r10 + r01).real + 0.0,
+        (1j * r01 - 1j * r10).real + 0.0,
+        (r00 - r11).real + 0.0,
+    )
+    return np.array(s[1:]).T
+
+
+def _numpy_grid(theta_steps, phi_steps):
+    """The sweep grid as the CLI built it from numpy's linspace and arange, a `PureQubit` per cell."""
+    thetas = np.linspace(0.0, math.pi, theta_steps)
+    phis = np.arange(phi_steps) * (2.0 * math.pi / phi_steps)
+    return [PureQubit(theta, phi) for theta in thetas.tolist() for phi in phis.tolist()]
+
+
+# (theta_steps, phi_steps) of every grid a sweep accepts: both at least 2, at most MAX_CELLS cells.
+grid_shapes = st.integers(2, MAX_CELLS // 2).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, MAX_CELLS // n)))
+
+
 class TestPureRows:
-    """`_pure_rows` reads each state as `_pauli_stokes(pure_density(q))` does, in a batch of any size."""
+    """`_pure_rows` reads each (theta, phi) pair as `_pauli_stokes(pure_density(q))` does, in a batch of any size."""
 
     @staticmethod
     def assert_rows_match_one_by_one(states):
-        rows = _pure_rows(states)
+        rows = _pure_rows([(q.theta, q.phi) for q in states])
         assert rows.shape == (len(states), 3)
+        assert rows.tobytes() == _qubit_rows(states).tobytes()
         for q, row in zip(states, rows.tolist()):
             v = _pauli_stokes(pure_density(q))
             expected = [v.s1, v.s2, v.s3]
@@ -674,6 +706,30 @@ class TestPureRows:
         self.assert_rows_match_one_by_one(states)
         for q in states:
             self.assert_rows_match_one_by_one([q])
+
+    @settings(deadline=None, max_examples=40)
+    @given(grid_shapes)
+    @example((2, 2))
+    @example((3, 7))
+    @example((5, 5))
+    @example((101, 99))
+    @example((2, MAX_CELLS // 2))
+    @example((MAX_CELLS // 2, 2))
+    @example((100, 100))
+    def test_sweep_grids(self, shape):
+        # The sweep's angles are those PureQubit stores for the numpy grid, to the
+        # last bit, and their rows are the rows the qubits read as before.
+        angles = _sweep_angles(*shape)
+        states = _numpy_grid(*shape)
+        assert [(theta.hex(), phi.hex()) for theta, phi in angles] == [(q.theta.hex(), q.phi.hex()) for q in states]
+        assert _pure_rows(angles).tobytes() == _qubit_rows(states).tobytes()
+
+    def test_no_grid_angle_needs_a_wrap(self):
+        # What `_sweep_angles` rests on, for every axis length a sweep accepts:
+        # the last theta before pi stays below pi and the last phi below 2 pi.
+        for k in range(2, MAX_CELLS // 2 + 1):
+            assert (k - 2) * (math.pi / (k - 1)) < math.pi
+            assert (k - 1) * (TWO_PI / k) < TWO_PI
 
 
 class TestRunTomography:
@@ -736,7 +792,7 @@ class TestRunTomography:
             seed = derive_seed(2024, k)
             res = run_tomography(q, shots, seed)
             rng = np.random.default_rng([derive_seed(seed, j) for j in range(3)])
-            p_plus = _plus_probabilities(_pure_rows([q]))[0].tolist()
+            p_plus = _plus_probabilities(_pure_rows([(q.theta, q.phi)]))[0].tolist()
             expected = [int(rng.binomial(shots, p)) for p in p_plus]
             assert [round((e.value + 1.0) * shots / 2.0) for e in res.per_step] == expected, (q, shots)
             assert [e.seed for e in res.per_step] == [derive_seed(seed, j) for j in range(3)]
