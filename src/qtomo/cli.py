@@ -12,13 +12,14 @@ A sweep builds its grid as (theta, phi) pairs of Python floats
 (`_sweep_angles`), equal bit for bit to the angles `PureQubit` stores for
 numpy's `linspace`/`arange` grid, and builds no `PureQubit`: the angles are
 in range by construction. It reads their pure states in one array pass
-(`_pure_rows`), samples them in one batch that keeps counts, building no
-per-step `SampleEstimate`, and writes each cell from the batch's columns of
-plain Python numbers. A JSON trial set builds only trial 0's
+(`_pure_rows`) as rows of floats, samples them in one batch that keeps
+counts, building no per-step `SampleEstimate`, and writes each cell from the
+batch's columns of plain Python numbers. A JSON trial set builds only trial 0's
 `TomographyResult` and reads every trial's scores from the same columns; a
-CSV trial set reuses it for trial 0's row. `exact` and `bloch` read through
-the one exact readout, `_readout`. No command eigen-checks a state it built
-or `PureQubit` checked.
+CSV trial set reuses it for trial 0's row and builds no JSON report.
+`exact`, `bloch`, `sample` and `sweep` read each state out through the one
+exact readout, `_readout`, per Bloch vector in floats. No command
+eigen-checks a state it built or `PureQubit` checked.
 The one emitter, `_dumps`, writes each dict through a `%` template cached
 per shape (keys, exact value types, indent level): the template formats the
 numbers of exact type float or int itself, so a sweep cell is one C call,
@@ -50,7 +51,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .states import TWO_PI, PureQubit, StokesVector, _bloch_rows, _pauli_stokes, _pure_rows, pure_density
+from .states import TWO_PI, PureQubit, StokesVector, _pauli_stokes, _pure_rows, pure_density
 from .tomography import SAMPLER, _IN_BLOCH_ORDER, _readout, _scored, _splitmix, _tomography, protocol_steps, reconstruct
 
 EXIT_OK = 0
@@ -220,11 +221,11 @@ def _cmd_exact(args):
     # Unchecked, as PureQubit has checked q; read off the matrix, so that the
     # residual keeps s0 = tr rho, which can sit one ulp below 1.
     reference = _pauli_stokes(pure_density(q))
-    readout = _readout(_bloch_rows(reference))
-    exact = StokesVector(1.0, *readout.exact[0].tolist())
+    _, alice, bloch = _readout(reference.s1, reference.s2, reference.s3)
+    exact = StokesVector(1.0, *bloch)
     residual = max(abs(getattr(exact, k) - getattr(reference, k)) for k in ("s0", "s1", "s2", "s3"))
     steps = []
-    for i, (step, a) in enumerate(zip(protocol_steps(), readout.alice[0].tolist())):
+    for i, (step, a) in enumerate(zip(protocol_steps(), alice)):
         steps.append(
             {
                 "step": i + 1,
@@ -270,9 +271,17 @@ def _cmd_sample(args):
     q = _angles(args)
     master = _resolve_seed(args)
     trial_seeds = [master] if args.trials == 1 else [_splitmix(master, t) for t in range(args.trials)]
-    truth = np.repeat(_pure_rows([(q.theta, q.phi)]), args.trials, axis=0)
-    batch = _tomography(truth, args.shots, trial_seeds)
+    batch = _tomography(_pure_rows([(q.theta, q.phi)]) * args.trials, args.shots, trial_seeds)
     first = _scored(batch, 0)
+    header = (
+        ["trial", "theta", "phi", "shots", "seed", "s1_hat", "s2_hat", "s3_hat",
+         "stderr_s1", "stderr_s2", "stderr_s3"]
+        + _RHO_COLUMNS
+        + ["projected", "fidelity", "trace_distance"]
+    )
+    rows = (_sample_row(q, _scored(batch, t) if t else first, t, ts) for t, ts in enumerate(trial_seeds))
+    if args.format == "csv":  # the rows need no report
+        return None, header, rows
     steps = [
         {
             "step": i + 1,
@@ -308,13 +317,6 @@ def _cmd_sample(args):
         "metrics": metrics,
         "seed": master,
     }
-    header = (
-        ["trial", "theta", "phi", "shots", "seed", "s1_hat", "s2_hat", "s3_hat",
-         "stderr_s1", "stderr_s2", "stderr_s3"]
-        + _RHO_COLUMNS
-        + ["projected", "fidelity", "trace_distance"]
-    )
-    rows = (_sample_row(q, _scored(batch, t) if t else first, t, ts) for t, ts in enumerate(trial_seeds))
     return report, header, rows
 
 
@@ -388,7 +390,7 @@ def _cmd_reconstruct(args):
 
 def _cmd_bloch(args):
     q = _angles(args)
-    s = StokesVector(1.0, *_readout(_pure_rows([(q.theta, q.phi)])).exact[0].tolist())
+    s = StokesVector(1.0, *_readout(*_pure_rows([(q.theta, q.phi)])[0])[2])
     # Each step's plane pins one Bloch coordinate (x = s1, y = s2, z = s3);
     # the three planes meet at the Bloch point.
     point = [s.s1, s.s2, s.s3]
@@ -406,7 +408,8 @@ def _cmd_bloch(args):
 
 
 # Each handler returns (report, CSV header, CSV rows); sample and sweep return
-# their rows as a generator, which only a CSV report runs.
+# their rows as a generator, which only a CSV report runs, and sample builds
+# no report for CSV.
 _HANDLERS = {
     "exact": _cmd_exact,
     "sample": _cmd_sample,

@@ -7,7 +7,9 @@ states and strictly inside the ball for mixed ones. Pure states carry the
 usual polar parameterization |psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
 `pure_density` and the unchecked batch reader `_pure_rows` both form
 |psi><psi| through `_pure_densities`, so they agree bit for bit. The batch
-reader takes (theta, phi) pairs of floats: a `PureQubit` passes
+reader returns each Bloch vector as a row of three floats, which the
+tomography core reads out per row in floats. It takes (theta, phi) pairs
+of floats: a `PureQubit` passes
 `(q.theta, q.phi)`, and a CLI sweep passes the angles of its grid as it
 built them, with no `PureQubit` per cell. The reverse map, rho from
 (s0, s1, s2, s3), is formed only by `_stokes_density`: `density_from_stokes`
@@ -134,8 +136,8 @@ def _pauli_stokes(rho: np.ndarray) -> StokesVector:
     return StokesVector(*_entry_stokes(r00, r01, r10, r11))
 
 
-def _pure_rows(angles) -> np.ndarray:
-    """The Bloch vectors of the pure states at the given (theta, phi) pairs, as the rows of an (n, 3) array.
+def _pure_rows(angles) -> list[list[float]]:
+    """The Bloch vectors of the pure states at the given (theta, phi) pairs, as rows [s1, s2, s3] of floats.
 
     One array pass: `_entry_stokes` reads the entries of `_pure_densities`
     as `_pauli_stokes` does, so the row of `(q.theta, q.phi)` equals
@@ -145,7 +147,7 @@ def _pure_rows(angles) -> np.ndarray:
     """
     rho = _pure_densities(angles)
     s = _entry_stokes(rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1])
-    return np.array(s[1:]).T
+    return np.array(s[1:]).T.tolist()
 
 
 def stokes_of(rho: np.ndarray) -> StokesVector:
@@ -177,11 +179,6 @@ def _stokes_density(s0: float, s1: float, s2: float, s3: float) -> np.ndarray:
     ]))
 
 
-def _bloch_rows(*vectors: StokesVector) -> np.ndarray:
-    """The Bloch vectors (s1, s2, s3) of the given Stokes vectors, as the rows of an (n, 3) array."""
-    return np.array([(v.s1, v.s2, v.s3) for v in vectors])
-
-
 def _bloch_fidelity(s, t) -> float:
     """(1 + s.t)/2 of two Bloch vectors, clipped to [0, 1]: the fidelity when one state is pure."""
     s1, s2, s3 = s
@@ -201,7 +198,7 @@ def fidelity(q: PureQubit, rho: np.ndarray) -> float:
     """Overlap <psi| rho |psi> between a pure target and a density matrix, as (1 + s.t)/2."""
     _require_density(rho, 2)
     s = _pauli_stokes(rho)
-    return _bloch_fidelity((s.s1, s.s2, s.s3), _pure_rows([(q.theta, q.phi)])[0].tolist())
+    return _bloch_fidelity((s.s1, s.s2, s.s3), _pure_rows([(q.theta, q.phi)])[0])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

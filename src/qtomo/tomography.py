@@ -9,9 +9,12 @@ an explicit label, so nothing downstream depends on position.
 Step k pays Alice +1 with probability P(+1) = a_k . (1, s1, s2, s3); the rows
 a_k, derived at import from the steps' strategies and payoffs, form the 3x4
 instrument matrix, so no 4x4 state is built (the 4x4 route in `game` is the
-paper's derivation and the tests' oracle). `_readout` alone forms Alice's
-payoffs 2 P(+1) - 1 and puts them in Bloch order. A step's m-shot estimate
-(2k - m)/m needs one draw of the count k ~ Binomial(m, P(+1)) of +1 shots.
+paper's derivation and the tests' oracle). `_readout` reads one Bloch
+vector in floats, three products and three sums per row of `_INSTRUMENT`,
+and alone forms Alice's payoffs 2 P(+1) - 1 and puts them in Bloch order;
+`step_payoffs`, `exact_stokes`, the core and the CLI all read through it.
+A step's m-shot estimate (2k - m)/m needs one draw of the count
+k ~ Binomial(m, P(+1)) of +1 shots.
 All randomness flows from one 64-bit master seed through a splitmix-style
 derivation, so every result is reproducible bit for bit.
 
@@ -23,20 +26,17 @@ array numpy itself would make of that list, so the stream is the same. A
 step's reported `seed` is its part of that generator's entropy, so the three
 step seeds together reproduce the draw.
 
-One core, `_tomography`, runs the protocol on n Bloch vectors at once. The
-exact readout is one array pass over the batch; then `_row` finishes each
-state in plain floats: it draws the state's three counts from its one
-generator and forms the estimate, its radial projection into the ball and
-both scores as closed forms of the counts and the truth. The batch holds each
-of these as a column of plain Python values, read as they are by results and
-reports, and keeps the counts: a row's `SampleEstimate`s are built by
-`_estimate` only when the row becomes a result. `run_tomography` is its
-n = 1 case and a CLI sweep or trial set is one call; `states._pure_rows`
+One core, `_tomography`, runs the protocol on n Bloch vectors, each a row
+of three floats, and `_row` handles each state on its own in plain floats:
+it reads the state out through `_readout`, draws its three counts from its
+one generator and forms the estimate, its radial projection into the ball
+and both scores as closed forms of the counts and the truth. The batch holds
+each of these as a column of plain Python values, read as they are by
+results and reports, and keeps the counts: a row's `SampleEstimate`s are
+built by `_estimate` only when the row becomes a result. `run_tomography` is
+its n = 1 case and a CLI sweep or trial set is one call; `states._pure_rows`
 reads the batch's pure truths from their (theta, phi) pairs in one array
-pass, equal bit for bit to reading them one at a time. A (1, s) is summed
-elementwise in a fixed order, not as a matrix product, whose rounding
-depends on the number of rows: a state's numbers do not depend on the size
-of its batch.
+pass, equal bit for bit to reading them one at a time.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .states import (
     PureQubit,
     StokesVector,
     _bloch_fidelity,
-    _bloch_rows,
     _bloch_trace_distance,
     _pure_rows,
     _stokes_density,
@@ -212,41 +211,35 @@ def _instrument_row(sa: Strategy, sb: Strategy, p: PayoffMatrix) -> np.ndarray:
     return 0.5 * qubit @ (ancilla @ plus)
 
 
-_INSTRUMENT = np.array([_instrument_row(s.strategy_a, s.strategy_b, s.payoff_a) for s in _PROTOCOL_STEPS])
-_INSTRUMENT.setflags(write=False)
+_INSTRUMENT = tuple(tuple(_instrument_row(s.strategy_a, s.strategy_b, s.payoff_a).tolist()) for s in _PROTOCOL_STEPS)
 _LABELS = tuple(step.label for step in _PROTOCOL_STEPS)
 _STEPS = range(len(_LABELS))
 _BLOCH_ORDER = [_LABELS.index(label) for label in ("S1", "S2", "S3")]  # the steps reading s1, s2, s3
 _IN_BLOCH_ORDER = operator.itemgetter(*_BLOCH_ORDER)
 
 
-def _plus_probabilities(truth: np.ndarray) -> np.ndarray:
-    """P(+1) = a0 + a1 s1 + a2 s2 + a3 s3, clipped to [0, 1]: a row per Bloch vector, a column per step."""
-    terms = truth.T[:, :, None] * _INSTRUMENT.T[1:, None, :]  # terms[c, i, k] = a_k,c+1 s_c+1 of row i
-    p = _INSTRUMENT[:, 0] + terms[0] + terms[1] + terms[2]
-    return np.minimum(np.maximum(p, 0.0), 1.0)
+def _readout(s1: float, s2: float, s3: float) -> tuple[list[float], list[float], tuple[float, float, float]]:
+    """(P(+1) per step, Alice's payoff per step, her payoffs in Bloch order) of one Bloch vector, in floats.
 
-
-# Per row of an (n, 3) Bloch array: P(+1) and Alice's payoff per step, and her payoffs in Bloch order.
-_Readout = namedtuple("_Readout", "p alice exact")
-
-
-def _readout(truth: np.ndarray) -> _Readout:
-    """The exact readout of each row of an (n, 3) Bloch array: the one place 2 P(+1) - 1 is formed."""
-    p = _plus_probabilities(truth)
-    alice = 2.0 * p - 1.0
-    return _Readout(p, alice, alice.take(_BLOCH_ORDER, axis=1))
+    P(+1) = a0 + a1 s1 + a2 s2 + a3 s3, clipped to [0, 1], for each row a of
+    the instrument; the one place Alice's payoff 2 P(+1) - 1 is formed.
+    """
+    p = [min(max(a0 + a1 * s1 + a2 * s2 + a3 * s3, 0.0), 1.0) for a0, a1, a2, a3 in _INSTRUMENT]
+    alice = [2.0 * x - 1.0 for x in p]
+    return p, alice, _IN_BLOCH_ORDER(alice)
 
 
 def step_payoffs(rho: np.ndarray) -> tuple[StepPayoffs, ...]:
     """Exact payoffs of both players at each canonical step: Alice 2 P(+1) - 1, Bob its negative."""
-    alice = _readout(_bloch_rows(stokes_of(rho))).alice[0].tolist()
+    s = stokes_of(rho)
+    _, alice, _ = _readout(s.s1, s.s2, s.s3)
     return tuple(StepPayoffs(label, a, -a) for label, a in zip(_LABELS, alice))
 
 
 def exact_stokes(rho: np.ndarray) -> StokesVector:
     """Stokes vector read off from Alice's exact payoffs over the three steps."""
-    return StokesVector(1.0, *_readout(_bloch_rows(stokes_of(rho))).exact[0].tolist())
+    s = stokes_of(rho)
+    return StokesVector(1.0, *_readout(s.s1, s.s2, s.s3)[2])
 
 
 def _draw(p_row: list[float], shots: int, step_seeds: list[int]) -> list[int]:
@@ -308,23 +301,26 @@ def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
     return density_from_stokes(StokesVector(s.s0, *t)), projected
 
 
-def _row(p_row: list[float], truth_row: list[float], shots: int, step_seeds: list[int]) -> tuple:
-    """One state of the batch, from its P(+1) values, its Bloch vector and its step seeds, in plain floats.
+def _row(truth_row: list[float], shots: int, step_seeds: list[int]) -> tuple:
+    """One state of the batch, from its Bloch vector (three floats) and its step seeds, in plain floats.
 
-    Draws the state's three counts, then forms its estimate (the step means
+    Reads the state out exactly (`_readout`), draws its three counts from
+    those P(+1) values, then forms its estimate (the step means
     in Bloch order), the estimate projected into the ball (bloch_hat) and
     both scores against the truth. The scores read t back from
     rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does (s3 as
     (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
     """
-    counts = _draw(p_row, shots, step_seeds)
+    p, _, exact = _readout(*truth_row)
+    counts = _draw(p, shots, step_seeds)
     k1, k2, k3 = _IN_BLOCH_ORDER(counts)
     estimate = (_mean(k1, shots), _mean(k2, shots), _mean(k3, shots))
     t, projected = _project(*estimate)
     t1, t2, t3 = t
     t_hat = (0.5 * (0.0 + t1) - 0.5 * (0.0 - t1), 0.5 * (0.0 + t2) - 0.5 * (0.0 - t2),
              0.5 * (1.0 + t3) - 0.5 * (1.0 - t3))
-    return counts, estimate, t, projected, _bloch_fidelity(t_hat, truth_row), _bloch_trace_distance(t_hat, truth_row)
+    return (exact, counts, estimate, t, projected,
+            _bloch_fidelity(t_hat, truth_row), _bloch_trace_distance(t_hat, truth_row))
 
 
 # A batch of n states drawn at `shots` per step, as columns with a plain Python value per row: lists
@@ -334,23 +330,22 @@ def _row(p_row: list[float], truth_row: list[float], shots: int, step_seeds: lis
 _Batch = namedtuple("_Batch", "shots counts step_seeds exact estimate bloch_hat projected fidelity trace_distance")
 
 
-def _tomography(truth: np.ndarray, shots: int, seeds: list[int]) -> _Batch:
-    """The protocol on each row of an (n, 3) Bloch array; row i draws from the generator of its step seeds.
+def _tomography(truth: list[list[float]], shots: int, seeds: list[int]) -> _Batch:
+    """The protocol on each Bloch vector (a row of three floats); row i draws from the generator of its step seeds.
 
     Row i's step seeds are derive_seed(seeds[i], j) for the steps j, and
     `_draw` seeds the row's one generator with all three. Each state seed is
     checked once, and its step seeds are mixed by the unchecked `_splitmix`.
-    The readout is one array pass over the batch; `_row` finishes each state.
+    `_row` reads out and finishes each state on its own, so a state's
+    numbers do not depend on its batch.
 
     The batch keeps counts, not SampleEstimates: only a row turned into a
     result (`_result`) builds its three.
     """
     shots = _check_shots(shots)
-    p, _, exact = _readout(truth)
     step_seeds = [list(map(_splitmix, repeat(seed), _STEPS)) for seed in map(_check_seed, seeds)]
-    rows = map(_row, p.tolist(), truth.tolist(), repeat(shots), step_seeds)
-    counts, estimate, bloch_hat, projected, fid, dist = zip(*rows)
-    return _Batch(shots, counts, step_seeds, exact.tolist(), estimate, bloch_hat, projected, fid, dist)
+    exact, counts, estimate, bloch_hat, projected, fid, dist = zip(*map(_row, truth, repeat(shots), step_seeds))
+    return _Batch(shots, counts, step_seeds, exact, estimate, bloch_hat, projected, fid, dist)
 
 
 def _result(batch: _Batch, i: int, **reconstruction) -> TomographyResult:
@@ -373,7 +368,8 @@ def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
     The three step seeds derive_seed(seed, i) together seed the one generator
     that draws the three counts, in protocol order.
     """
-    return _result(_tomography(_bloch_rows(stokes_of(rho)), shots, [seed]), 0)
+    s = stokes_of(rho)
+    return _result(_tomography([[s.s1, s.s2, s.s3]], shots, [seed]), 0)
 
 
 def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:

@@ -87,3 +87,30 @@ def test_one_generator_call_site():
                 if "(" not in func and ("random." in func or func.endswith("default_rng")):
                     sites.append((path.name, node.lineno, func))
     assert [func for _, _, func in sites] == ["np.random.default_rng"], sites
+
+
+def _is_number(node, value):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == value
+
+
+def _forms_a_payoff(node):
+    """Whether node is 2 x - 1, the payoff of a +-1 outcome that pays +1 with probability x."""
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) and _is_number(node.right, 1)
+        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+        and (_is_number(node.left.left, 2) or _is_number(node.left.right, 2))
+    )
+
+
+def test_one_readout():
+    # Alice's payoff 2 P(+1) - 1 is formed in one function, the core's scalar
+    # `_readout`, so no path can grow a second readout beside it.
+    sites = []
+    for path in sorted(Path(qtomo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in filter(_forms_a_payoff, ast.walk(tree)):
+            while node in parents and not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                node = parents[node]
+            sites.append(f"{path.stem}.{getattr(node, 'name', '<' + type(node).__name__ + '>')}")
+    assert sites == ["tomography._readout"]

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtomo
+import qtomo.cli
 import qtomo.tomography
 from qtomo.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, _HANDLERS, _SCALARS, _csv_cell, _dumps, _template, build_parser, main
 from qtomo.states import PureQubit, pure_density
@@ -165,6 +166,16 @@ class TestSample:
             assert [int(row[0]), int(row[3]), int(row[4])] == [t, 64, derive_seed(5, t)]
             assert [float(x) for x in row[1:3] + row[5:19] + row[20:]] == floats
             assert row[19] == ("true" if r.projected else "false")
+
+    def test_builds_the_report_only_for_json(self, capsys, monkeypatch):
+        calls = []
+        original = qtomo.cli._stokes_json
+        monkeypatch.setattr(qtomo.cli, "_stokes_json", lambda s: calls.append(s) or original(s))
+        argv = ["sample", "--theta", "0.9", "--phi", "1.0", "--shots", "64", "--seed", "11", "--trials", "3"]
+        assert run_cli(capsys, argv + ["--format", "csv"])[0] == EXIT_OK
+        assert calls == []
+        run_json(capsys, argv)
+        assert len(calls) == 1
 
     def test_shot_validation_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["sample", "--theta", "0.1", "--phi", "0", "--shots", "0"])
@@ -570,7 +581,7 @@ class TestLazyPerStep:
         # A JSON trial set builds trial 0's result only; its per-trial scores are batch columns.
         run_json(capsys, ["sample", "--theta", "0.3", "--phi", "0.4", "--trials", "4", "--seed", "3"])
         assert len(estimates_built) == 3 + 3
-        # CSV writes a row per trial, each from its own result; trial 0's is the report's.
+        # CSV writes a row per trial, each from its own result, trial 0's built once.
         argv = ["sample", "--theta", "0.3", "--phi", "0.4", "--trials", "4", "--seed", "3", "--format", "csv"]
         assert run_cli(capsys, argv)[0] == EXIT_OK
         assert len(estimates_built) == 3 + 3 + 4 * 3

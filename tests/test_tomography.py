@@ -38,7 +38,7 @@ from qtomo.tomography import (
     _draw,
     _instrument_row,
     _mean,
-    _plus_probabilities,
+    _readout,
     _result,
     _tomography,
     derive_seed,
@@ -287,7 +287,7 @@ def _reference_counts(vec, shots, seeds):
 
 def _core_counts(vec, shots, seeds):
     """The core's counts: a row per seed, each row's three drawn from that state's one generator."""
-    return np.array(_tomography(np.array([vec] * len(seeds)), shots, seeds).counts)
+    return np.array(_tomography([vec] * len(seeds), shots, seeds).counts)
 
 
 class TestCountSamplerEquivalence:
@@ -308,7 +308,7 @@ class TestCountSamplerEquivalence:
     CASES = {
         "four outcomes": ((-0.2, 0.3, -0.5), 16),
         "near certain": ((0.96, 0.1, -0.2), 32),
-        "generic S1 step": (tuple(_pure_rows([(1.1, 2.3)])[0].tolist()), 64),
+        "generic S1 step": (tuple(_pure_rows([(1.1, 2.3)])[0]), 64),
     }
 
     def _chi_square(self, counts, m, p):
@@ -549,7 +549,7 @@ class TestBatchCore:
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.tuples(bloch_points, st.integers(0, 2**64 - 1)), min_size=4, max_size=24), st.integers(1, 10**6))
     def test_rows_match_single_row_batches_bit_for_bit(self, rows, shots):
-        truth = np.array([vec for vec, _ in rows])
+        truth = [vec for vec, _ in rows]
         seeds = [seed for _, seed in rows]
         batch = _tomography(truth, shots, seeds)
         alone = [_tomography(truth[i : i + 1], shots, [seed]) for i, seed in enumerate(seeds)]
@@ -604,12 +604,46 @@ truth_rows = st.one_of(
 )
 
 
+# The exact readout as it was formed for a whole batch in one array pass, kept verbatim as the oracle.
+_ARRAY_INSTRUMENT = np.array([_instrument_row(s.strategy_a, s.strategy_b, s.payoff_a) for s in protocol_steps()])
+
+
+def _array_plus_probabilities(truth: np.ndarray) -> np.ndarray:
+    """P(+1) = a0 + a1 s1 + a2 s2 + a3 s3, clipped to [0, 1]: a row per Bloch vector, a column per step."""
+    terms = truth.T[:, :, None] * _ARRAY_INSTRUMENT.T[1:, None, :]  # terms[c, i, k] = a_k,c+1 s_c+1 of row i
+    p = _ARRAY_INSTRUMENT[:, 0] + terms[0] + terms[1] + terms[2]
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
+def _array_readout(truth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, alice, exact) of each row of an (n, 3) Bloch array: P(+1) and Alice's payoff per step, and in Bloch order."""
+    p = _array_plus_probabilities(truth)
+    alice = 2.0 * p - 1.0
+    return p, alice, alice.take(_BLOCH_ORDER, axis=1)
+
+
+class TestReadoutMatchesTheArrayPass:
+    """`_readout` of one Bloch vector in floats equals the old array pass over a batch, bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(truth_rows, min_size=1, max_size=8))
+    @example([(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)])
+    @example(CARDINAL_ROWS)
+    def test_rows(self, rows):
+        p, alice, exact = _array_readout(np.array(rows))
+        for i, row in enumerate(rows):
+            assert _bits(_readout(*row)) == _bits([p[i].tolist(), alice[i].tolist(), exact[i].tolist()]), row
+
+    def test_instrument_rows_are_the_arrays(self):
+        assert _bits(_INSTRUMENT) == _bits(_ARRAY_INSTRUMENT.tolist())
+
+
 class TestRowsMatchTheArrayStage:
     """Each state's estimate, projection and scores equal the old array stage's, bit for bit."""
 
     @staticmethod
     def assert_rows_match(truth, shots, batch):
-        estimate, bloch_hat, projected, fid, dist = _reference_post_draw(truth, shots, batch.counts)
+        estimate, bloch_hat, projected, fid, dist = _reference_post_draw(np.array(truth), shots, batch.counts)
         assert _bits(batch.estimate) == _bits(estimate.tolist())
         assert _bits(batch.bloch_hat) == _bits(bloch_hat.tolist())
         assert list(batch.projected) == projected.tolist()
@@ -619,7 +653,7 @@ class TestRowsMatchTheArrayStage:
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(truth_rows, st.integers(0, 2**64 - 1)), min_size=1, max_size=8), st.integers(1, 10**6))
     def test_drawn_counts(self, rows, shots):
-        truth = np.array([vec for vec, _ in rows])
+        truth = [vec for vec, _ in rows]
         batch = _tomography(truth, shots, [seed for _, seed in rows])
         self.assert_rows_match(truth, shots, batch)
 
@@ -634,7 +668,7 @@ class TestRowsMatchTheArrayStage:
     @example((10**6, [((5e-324, -0.0, 1.0), [0, 10**6, 500_000]), ((-1.0, 0.0, 0.0), [0, 0, 0])]))
     def test_any_counts(self, case):
         shots, rows = case
-        truth = np.array([vec for vec, _ in rows])
+        truth = [vec for vec, _ in rows]
         counts = [k for _, k in rows]
         with mock.patch.object(qtomo.tomography, "_draw", side_effect=counts):
             batch = _tomography(truth, shots, list(range(len(rows))))
@@ -680,9 +714,8 @@ class TestPureRows:
     @staticmethod
     def assert_rows_match_one_by_one(states):
         rows = _pure_rows([(q.theta, q.phi) for q in states])
-        assert rows.shape == (len(states), 3)
-        assert rows.tobytes() == _qubit_rows(states).tobytes()
-        for q, row in zip(states, rows.tolist()):
+        assert _bits(rows) == _bits(_qubit_rows(states).tolist())
+        for q, row in zip(states, rows):
             v = _pauli_stokes(pure_density(q))
             expected = [v.s1, v.s2, v.s3]
             assert row == expected, q
@@ -722,7 +755,7 @@ class TestPureRows:
         angles = _sweep_angles(*shape)
         states = _numpy_grid(*shape)
         assert [(theta.hex(), phi.hex()) for theta, phi in angles] == [(q.theta.hex(), q.phi.hex()) for q in states]
-        assert _pure_rows(angles).tobytes() == _qubit_rows(states).tobytes()
+        assert _bits(_pure_rows(angles)) == _bits(_qubit_rows(states).tolist())
 
     def test_no_grid_angle_needs_a_wrap(self):
         # What `_sweep_angles` rests on, for every axis length a sweep accepts:
@@ -792,7 +825,7 @@ class TestRunTomography:
             seed = derive_seed(2024, k)
             res = run_tomography(q, shots, seed)
             rng = np.random.default_rng([derive_seed(seed, j) for j in range(3)])
-            p_plus = _plus_probabilities(_pure_rows([(q.theta, q.phi)]))[0].tolist()
+            p_plus = _array_plus_probabilities(np.array(_pure_rows([(q.theta, q.phi)])))[0].tolist()
             expected = [int(rng.binomial(shots, p)) for p in p_plus]
             assert [round((e.value + 1.0) * shots / 2.0) for e in res.per_step] == expected, (q, shots)
             assert [e.seed for e in res.per_step] == [derive_seed(seed, j) for j in range(3)]
