@@ -29,7 +29,8 @@ list is one join, numpy scalars and subclasses take an isinstance chain that
 gives them the same text, and CSV cells reuse the same scalar formatter.
 `sample` and `sweep` derive their trial and cell seeds from the checked
 master with the unchecked `_splitmix`, and build their CSV rows only when
-CSV is written.
+CSV is written. A sample report's step seeds are the PCG64 state words of
+its generator (`inputs.sampler` "binomial-count-v3"), so they reproduce it.
 
 Exit codes: 0 success, 2 validation/usage error, 3 I/O error (the --out
 file or stdout cannot be written). An --out file is written in binary

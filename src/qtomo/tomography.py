@@ -6,10 +6,11 @@ therefore reads the full Bloch vector. Steps are listed in protocol order
 (the first measures s2, the second s1, the third s3) and every step carries
 an explicit label, so nothing downstream depends on position.
 
-Step k pays Alice +1 with probability P(+1) = a_k . (1, s1, s2, s3); the rows
-a_k, derived at import from the steps' strategies and payoffs, form the 3x4
-instrument matrix, so no 4x4 state is built (the 4x4 route in `game` is the
-paper's derivation and the tests' oracle). `_readout` reads one Bloch
+Step k pays Alice +1 with probability P(+1) = a_k . (1, s1, s2, s3). Her
+payoff reads the unknown qubit alone, so a step measures it along the Bloch
+axis n of Bob's strategy and a_k = (1, n)/2 (`_axis_row`); the rows form the
+3x4 instrument matrix, so no 4x4 state is built (the 4x4 route in `game` is
+the paper's derivation and the tests' oracle). `_readout` reads one Bloch
 vector in floats, three products and three sums per row of `_INSTRUMENT`,
 and alone forms Alice's payoffs 2 P(+1) - 1 and puts them in Bloch order;
 `step_payoffs`, `exact_stokes`, the core and the CLI all read through it.
@@ -18,13 +19,12 @@ k ~ Binomial(m, P(+1)) of +1 shots.
 All randomness flows from one 64-bit master seed through a splitmix-style
 derivation, so every result is reproducible bit for bit.
 
-The sampler, `SAMPLER` = "binomial-count-v2", gives each state one
+The sampler, `SAMPLER` = "binomial-count-v3", gives each state one
 generator: state seed s draws its three counts, in protocol order, from
-`np.random.default_rng([derive_seed(s, 0), derive_seed(s, 1),
-derive_seed(s, 2)])`. `_draw` feeds numpy the step seeds' 32-bit words, the
-array numpy itself would make of that list, so the stream is the same. A
-step's reported `seed` is its part of that generator's entropy, so the three
-step seeds together reproduce the draw.
+`Generator(PCG64)` whose four 64-bit seed words are [derive_seed(s, 0),
+derive_seed(s, 1), derive_seed(s, 2), 0], taken as they are. A step's
+reported `seed` is one of its generator's state words, so the three step
+seeds together reproduce the draw.
 
 One core, `_tomography`, runs the protocol on n Bloch vectors, each a row
 of three floats, and `_row` handles each state on its own in plain floats:
@@ -41,6 +41,7 @@ pass, equal bit for bit to reading them one at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import namedtuple
@@ -49,10 +50,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .game import PayoffMatrix, Strategy, strategy_unitary
+from .game import PayoffMatrix, Strategy
 from .linalg import DEFAULT_TOL
 from .states import (
-    PAULIS,
     PureQubit,
     StokesVector,
     _bloch_fidelity,
@@ -69,10 +69,9 @@ ALICE_PAYOFF = PayoffMatrix(1.0, -1.0, 1.0, -1.0)
 BOB_PAYOFF = PayoffMatrix(-1.0, 1.0, -1.0, 1.0)
 
 # The count sampler's id, recorded in the sample and sweep reports: one
-# generator per state, seeded with its three step seeds.
-SAMPLER = "binomial-count-v2"
+# PCG64 generator per state, its state words the three step seeds and 0.
+SAMPLER = "binomial-count-v3"
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -102,8 +101,8 @@ class SampleEstimate:
 
     std_error is the population standard deviation of the outcomes divided by
     sqrt(m), which for +-1 outcomes never exceeds 1/sqrt(m). seed is the
-    step's derive_seed(state seed, step index): one of the three entropy
-    inputs of the generator that draws its state's three counts, not a
+    step's derive_seed(state seed, step index): one of the four PCG64 state
+    words of the generator that draws its state's three counts, not a
     generator of its own.
     """
 
@@ -187,31 +186,21 @@ def _check_shots(shots: int) -> int:
     return shots
 
 
-def _plus_outcomes(p: PayoffMatrix) -> np.ndarray:
-    """Mask of the outcomes |00>, |01>, |10>, |11> that pay +1; every entry must be +-1."""
-    entries = np.array(p.entries())
-    if not np.all(np.abs(entries) == 1.0):
-        raise ValueError("payoff entries must all be +1 or -1")
-    return entries == 1.0
+def _axis_row(b: Strategy) -> tuple[float, float, float, float]:
+    """The row a with P(+1) = a . (1, s1, s2, s3) of a step where Bob plays b and Alice is paid ALICE_PAYOFF.
 
-
-def _instrument_row(sa: Strategy, sb: Strategy, p: PayoffMatrix) -> np.ndarray:
-    """The row a with P(+1) = a . (1, s1, s2, s3) for one strategy pair and +-1 payoff.
-
-    Outcome |ij> has probability |U_A|0>|^2_i times entry j of the diagonal of
-    U_B rho U_B^dagger = (1/2) sum_k s_k U_B sigma_k U_B^dagger; summing over
-    the outcomes that pay +1 gives a. Stacked over the protocol steps the rows
-    form the measurement matrix of linear-inversion tomography (James, Kwiat,
-    Munro & White, PRA 64, 052312 (2001)).
+    Alice is paid +1 exactly when the unknown qubit reads 0 after Bob's U_B,
+    whatever her own strategy, so the step measures the qubit along the axis
+    n = (sin beta cos alpha, sin beta sin alpha, cos beta) of b: a = (1, n)/2.
+    Stacked over the steps the rows form the measurement matrix of
+    linear-inversion tomography (James, Kwiat, Munro & White, PRA 64, 052312
+    (2001)).
     """
-    plus = _plus_outcomes(p).reshape(2, 2)
-    ancilla = np.abs(strategy_unitary(sa)[:, 0]) ** 2
-    ub = strategy_unitary(sb)
-    qubit = np.array([np.diagonal(ub @ sigma @ ub.conj().T).real for sigma in PAULIS])
-    return 0.5 * qubit @ (ancilla @ plus)
+    sin_beta = math.sin(b.beta)
+    return 0.5, 0.5 * (sin_beta * math.cos(b.alpha)), 0.5 * (sin_beta * math.sin(b.alpha)), 0.5 * math.cos(b.beta)
 
 
-_INSTRUMENT = tuple(tuple(_instrument_row(s.strategy_a, s.strategy_b, s.payoff_a).tolist()) for s in _PROTOCOL_STEPS)
+_INSTRUMENT = tuple(_axis_row(s.strategy_b) for s in _PROTOCOL_STEPS)
 _LABELS = tuple(step.label for step in _PROTOCOL_STEPS)
 _STEPS = range(len(_LABELS))
 _BLOCH_ORDER = [_LABELS.index(label) for label in ("S1", "S2", "S3")]  # the steps reading s1, s2, s3
@@ -245,19 +234,27 @@ def exact_stokes(rho: np.ndarray) -> StokesVector:
 def _draw(p_row: list[float], shots: int, step_seeds: list[int]) -> list[int]:
     """A state's three counts k ~ Binomial(shots, P(+1)) of +1 shots, in protocol order.
 
-    One generator per state, seeded with the state's three step seeds as
-    numpy splits a list of ints: each seed's 32-bit words, low word first,
-    one word for a seed below 2**32 (0 gives [0]). Building that array here
-    costs less than numpy's own per-int split. Three scalar draws cost less
-    than one array draw. Inputs are already checked.
+    One PCG64 generator per state, its seed words the state's three step
+    seeds and 0. They are splitmix64 outputs, already well mixed, so they
+    reach PCG64 as they are, with no `SeedSequence` hashing. Three scalar
+    draws cost less than one array draw. Inputs are already checked.
     """
-    words = []
-    for seed in step_seeds:
-        words.append(seed & _MASK32)
-        if seed > _MASK32:
-            words.append(seed >> 32)
-    rng = np.random.default_rng(np.array(words, dtype=np.uint32))
+    rng = np.random.Generator(np.random.PCG64(_state_words()(step_seeds)))
     return [int(rng.binomial(shots, p)) for p in p_row]
+
+
+@functools.cache
+def _state_words() -> type:
+    """PCG64's seed sequence of a state's words [s0, s1, s2, 0]; made on the first draw, not at import."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, step_seeds: list[int]):
+            self.words = [*step_seeds, 0]
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return np.array(self.words, dtype=np.uint64)  # PCG64 asks for 4 words of uint64
+
+    return StateWords
 
 
 def _mean(k: int, shots: int) -> float:

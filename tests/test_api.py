@@ -77,8 +77,9 @@ def test_src_has_no_assert_statements():
 
 
 def test_one_generator_call_site():
-    # Every draw in the package comes from one generator site, the one in the
-    # core's per-state `_draw`, so no path can grow a second sampler beside it.
+    # Every draw in the package comes from one generator site, the one line in
+    # the core's per-state `_draw` that builds Generator(PCG64(...)), so no
+    # path can grow a second sampler beside it.
     sites = []
     for path in sorted(Path(qtomo.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -86,7 +87,8 @@ def test_one_generator_call_site():
                 func = ast.unparse(node.func)  # a chained call such as rng(...).binomial holds "("
                 if "(" not in func and ("random." in func or func.endswith("default_rng")):
                     sites.append((path.name, node.lineno, func))
-    assert [func for _, _, func in sites] == ["np.random.default_rng"], sites
+    assert [func for _, _, func in sites] == ["np.random.Generator", "np.random.PCG64"], sites
+    assert len({(name, line) for name, line, _ in sites}) == 1, sites
 
 
 def _is_number(node, value):

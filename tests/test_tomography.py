@@ -15,9 +15,18 @@ from hypothesis import strategies as st
 import qtomo.game
 import qtomo.tomography
 from qtomo.cli import MAX_CELLS, _sweep_angles
-from qtomo.game import PayoffMatrix, Strategy, evolve, initial_state, measurement_distribution, payoff_exact
+from qtomo.game import (
+    PayoffMatrix,
+    Strategy,
+    evolve,
+    initial_state,
+    measurement_distribution,
+    payoff_exact,
+    strategy_unitary,
+)
 from qtomo.linalg import DEFAULT_TOL, cmatrix, is_density, max_abs
 from qtomo.states import (
+    PAULIS,
     TWO_PI,
     PureQubit,
     StokesVector,
@@ -35,11 +44,12 @@ from qtomo.tomography import (
     _BLOCH_ORDER,
     _INSTRUMENT,
     _LABELS,
+    _axis_row,
     _draw,
-    _instrument_row,
     _mean,
     _readout,
     _result,
+    _state_words,
     _tomography,
     derive_seed,
     estimate_stokes,
@@ -151,28 +161,58 @@ class TestBlochGeometry:
                 assert abs(math.hypot(s.s1, s.s2, s.s3) - 1.0) <= 1e-12
 
 
+def _instrument_row(sa: Strategy, sb: Strategy, p: PayoffMatrix) -> np.ndarray:
+    """The row a with P(+1) = a . (1, s1, s2, s3) for one strategy pair and +-1 payoff, from the unitaries.
+
+    Outcome |ij> has probability |U_A|0>|^2_i times entry j of the diagonal of
+    U_B rho U_B^dagger = (1/2) sum_k s_k U_B sigma_k U_B^dagger; summing over
+    the outcomes that pay +1 gives a. The package derived its instrument this
+    way before it took the closed form `_axis_row`; kept as that form's oracle.
+    """
+    plus = (np.array(p.entries()) == 1.0).reshape(2, 2)  # the outcomes |00>, |01>, |10>, |11> that pay +1
+    ancilla = np.abs(strategy_unitary(sa)[:, 0]) ** 2
+    ub = strategy_unitary(sb)
+    qubit = np.array([np.diagonal(ub @ sigma @ ub.conj().T).real for sigma in PAULIS])
+    return 0.5 * qubit @ (ancilla @ plus)
+
+
+def _appended_state_p_plus(sa, sb, p, vec) -> float:
+    """P(+1) of a step through the paper's 4x4 route: evolve |0><0| (x) rho, sum the outcomes that pay +1."""
+    oracle = measurement_distribution(evolve(initial_state(density_from_stokes(StokesVector(1.0, *vec))), sa, sb))
+    return float(oracle[np.array(p.entries()) == 1.0].sum())
+
+
 class TestProductFormOracle:
     """The hot path's instrument rows against the paper's 4x4 appended-state route."""
 
     @settings(deadline=None)
     @given(strategies, strategies, sign_payoffs, bloch_points)
     def test_instrument_row_matches_appended_state(self, sa, sb, p, vec):
-        rho = density_from_stokes(StokesVector(1.0, *vec))
-        oracle = measurement_distribution(evolve(initial_state(rho), sa, sb))
-        p_plus = float(oracle[np.array(p.entries()) == 1.0].sum())
+        # The matrix derivation, for any strategies and any +-1 payoff.
+        p_plus = _appended_state_p_plus(sa, sb, p, vec)
         assert abs(float(_instrument_row(sa, sb, p) @ (1.0, *vec)) - p_plus) <= 1e-12
+
+    @settings(deadline=None)
+    @given(strategies, strategies, bloch_points)
+    def test_axis_row_matches_appended_state(self, sa, sb, vec):
+        # Alice's payoff reads the unknown qubit alone, so her strategy drops
+        # out and the step measures along the axis of Bob's strategy.
+        row = _axis_row(sb)
+        assert np.abs(np.array(row) - _instrument_row(sa, sb, ALICE_PAYOFF)).max() <= 1e-15
+        p_plus = _appended_state_p_plus(sa, sb, ALICE_PAYOFF, vec)
+        assert abs(float(np.dot(row, (1.0, *vec))) - p_plus) <= 1e-12
+
+    def test_instrument_is_the_matrix_derivation(self):
+        for step, row in zip(protocol_steps(), _INSTRUMENT):
+            assert row == _axis_row(step.strategy_b)
+            oracle = _instrument_row(step.strategy_a, step.strategy_b, step.payoff_a)
+            assert np.abs(np.array(row) - oracle).max() <= 1e-16, step.label
 
     def test_rows_read_one_stokes_parameter_each(self):
         # The paper's claim: step k pays Alice +1 with probability (1 + s_k)/2.
         expected = {"S2": (0.5, 0.0, 0.5, 0.0), "S1": (0.5, 0.5, 0.0, 0.0), "S3": (0.5, 0.0, 0.0, 0.5)}
         for step, row in zip(protocol_steps(), _INSTRUMENT):
             np.testing.assert_allclose(row, expected[step.label], rtol=0, atol=1e-15)
-
-    def test_row_rejects_payoffs_other_than_plus_minus_one(self):
-        with pytest.raises(ValueError, match="\\+1 or -1"):
-            _instrument_row(Strategy(HALF_PI), Strategy(HALF_PI), PayoffMatrix(2.0, -1.0, 1.0, -1.0))
-        with pytest.raises(ValueError):
-            _instrument_row(Strategy(HALF_PI), Strategy(HALF_PI), PayoffMatrix(0.0, -1.0, 1.0, -1.0))
 
     def test_step_payoffs_match_payoff_exact(self):
         rng = np.random.default_rng(16)
@@ -290,6 +330,21 @@ def _core_counts(vec, shots, seeds):
     return np.array(_tomography([vec] * len(seeds), shots, seeds).counts)
 
 
+def _chi_square(counts, m, p):
+    """(Pearson's statistic, degrees of freedom) of counts against Binomial(m, p), adjacent bins merged to expect >= 5."""
+    observed = np.bincount(counts, minlength=m + 1)
+    bins, o_acc, e_acc = [], 0, 0.0
+    for k in range(m + 1):
+        o_acc += int(observed[k])
+        e_acc += len(counts) * math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
+        if e_acc >= 5.0:
+            bins.append([o_acc, e_acc])
+            o_acc, e_acc = 0, 0.0
+    bins[-1][0] += o_acc
+    bins[-1][1] += e_acc
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
 class TestCountSamplerEquivalence:
     """The core's count draw and a per-shot reference against the exact binomial law.
 
@@ -311,19 +366,6 @@ class TestCountSamplerEquivalence:
         "generic S1 step": (tuple(_pure_rows([(1.1, 2.3)])[0]), 64),
     }
 
-    def _chi_square(self, counts, m, p):
-        observed = np.bincount(counts, minlength=m + 1)
-        bins, o_acc, e_acc = [], 0, 0.0
-        for k in range(m + 1):
-            o_acc += int(observed[k])
-            e_acc += self.N * math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
-            if e_acc >= 5.0:
-                bins.append([o_acc, e_acc])
-                o_acc, e_acc = 0, 0.0
-        bins[-1][0] += o_acc
-        bins[-1][1] += e_acc
-        return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
-
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("draw", [_core_counts, _reference_counts], ids=["count", "reference"])
     def test_counts_follow_the_binomial_law(self, case, draw):
@@ -332,7 +374,7 @@ class TestCountSamplerEquivalence:
         assert counts.shape == (self.N, 3)
         for j, probs in enumerate(_step_distributions(vec)):
             p_plus = float((probs[0] + probs[2]) / probs.sum())
-            stat, dof = self._chi_square(counts[:, j], m, p_plus)
+            stat, dof = _chi_square(counts[:, j], m, p_plus)
             assert stat <= self.CHI2_CRITICAL[dof], (case, _LABELS[j], stat, dof)
 
     def test_counts_of_a_row_are_independent(self):
@@ -341,6 +383,40 @@ class TestCountSamplerEquivalence:
         r = np.corrcoef(counts.T)
         for i, j in itertools.combinations(range(3), 2):
             assert abs(r[i, j]) <= 4.0 / math.sqrt(self.N), (i, j, r[i, j])
+
+
+class TestNeighbouringStates:
+    """Consecutive states' generators, seeded with unhashed step seeds, draw as independent binomials.
+
+    Without `SeedSequence`'s hashing, states seeded derive_seed(master, k) for
+    consecutive k start PCG64 from splitmix64 outputs of neighbouring inputs.
+    Over N such states at m = 16 shots, each step's counts must follow the
+    Binomial(m, P(+1)) pmf (Pearson's chi-square at its 0.999 quantile, bins
+    merged as `_chi_square` does), and no step's count may
+    correlate with any step's count of the next state (|r| <= 4 / sqrt(N - 1)).
+    """
+
+    N, SHOTS, MASTER = 20_000, 16, 2021
+    CHI2_CRITICAL = {9: 27.877, 10: 29.588, 11: 31.264}  # the 0.999 quantile per degrees of freedom
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        vec = _pure_rows([(1.1, 2.3)])[0]  # P(+1) = 0.83, 0.20, 0.73 over the steps
+        seeds = [derive_seed(self.MASTER, k) for k in range(self.N)]
+        return vec, np.array(_tomography([vec] * self.N, self.SHOTS, seeds).counts)
+
+    def test_counts_follow_the_binomial_law(self, counts):
+        vec, k = counts
+        for j, p_plus in enumerate(_readout(*vec)[0]):
+            stat, dof = _chi_square(k[:, j], self.SHOTS, p_plus)
+            assert stat <= self.CHI2_CRITICAL[dof], (_LABELS[j], stat, dof)
+
+    def test_no_lag_one_correlation(self, counts):
+        _, k = counts
+        bound = 4.0 / math.sqrt(self.N - 1)
+        for i, j in itertools.product(range(3), repeat=2):
+            r = np.corrcoef(k[:-1, i], k[1:, j])[0, 1]
+            assert abs(r) <= bound, (_LABELS[i], _LABELS[j], r)
 
 
 class TestDeriveSeed:
@@ -370,21 +446,66 @@ class TestDeriveSeed:
                     assert derive_seed(master, np.int64(i)) == derive_seed(5, i)
 
 
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands a bit generator the words it holds, as they are."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (len(self.words), np.uint64)
+        return self.words.copy()
+
+
+def _recipe_counts(p_row, shots, step_seeds):
+    """binomial-count-v3 written out: Generator(PCG64) over the words [s0, s1, s2, 0], three draws in order."""
+    rng = np.random.Generator(np.random.PCG64(_Words([*step_seeds, 0])))
+    return [int(rng.binomial(shots, p)) for p in p_row]
+
+
+# PCG64's seeding (O'Neill, HMC-CS-2014-0905; pcg_setseq_128_srandom_r): words
+# w0..w3 give the 128-bit initial state w0 w1 and sequence w2 w3, and the
+# generator starts two LCG steps on.
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_state(words):
+    initstate, initseq = (words[0] << 64) | words[1], (words[2] << 64) | words[3]
+    inc = ((initseq << 1) | 1) & _MASK128
+    state = ((inc + initstate) * _PCG_MULTIPLIER + inc) & _MASK128
+    return {"state": state, "inc": inc}
+
+
+step_seed_triples = st.tuples(*[st.integers(0, 2**64 - 1)] * 3)
+
+
 class TestDraw:
-    """`_draw`'s word array seeds the same generator as numpy's own split of the three step seeds."""
+    """`_draw` is binomial-count-v3: a PCG64 seeded with the state's step seeds and 0, taken as they are."""
 
     @settings(deadline=None, max_examples=300)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.integers(1, 10**6), st.tuples(*[st.integers(0, 2**64 - 1)] * 3))
+    @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.integers(1, 10**6), step_seed_triples)
     @example([0.5, 0.5, 0.5], 16, (0, 0, 0))
-    @example([0.5, 0.5, 0.5], 16, (1, 1, 1))
     @example([0.5, 0.5, 0.5], 16, (2**32 - 1, 2**32 - 1, 2**32 - 1))
     @example([0.5, 0.5, 0.5], 16, (2**32, 2**32, 2**32))
     @example([0.5, 0.5, 0.5], 16, (2**64 - 1, 2**64 - 1, 2**64 - 1))
-    @example([0.3, 0.6, 0.9], 4096, (0, 2**32, 1))
+    @example([0.3, 0.6, 0.9], 4096, (0, 2**32, 2**64 - 1))
     @example([0.3, 0.6, 0.9], 4096, (2**64 - 1, 2**32 - 1, 0))
     def test_counts_equal_numpy_seeding(self, p_row, shots, step_seeds):
-        rng = np.random.default_rng(list(step_seeds))
-        assert _draw(p_row, shots, list(step_seeds)) == [int(rng.binomial(shots, p)) for p in p_row]
+        assert _draw(p_row, shots, list(step_seeds)) == _recipe_counts(p_row, shots, step_seeds)
+
+    @settings(deadline=None, max_examples=200)
+    @given(step_seed_triples)
+    @example((0, 0, 0))
+    @example((2**32 - 1, 2**32 - 1, 2**32 - 1))
+    @example((2**32, 2**32, 2**32))
+    @example((2**64 - 1, 2**64 - 1, 2**64 - 1))
+    def test_step_seeds_are_the_generator_state(self, step_seeds):
+        # The words reach PCG64 unhashed: its state is the reference seeding's of [s0, s1, s2, 0].
+        words = _state_words()(list(step_seeds)).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64 and words.tolist() == [*step_seeds, 0]
+        state = np.random.PCG64(_state_words()(list(step_seeds))).state["state"]
+        assert state == _pcg64_state([*step_seeds, 0])
 
 
 class TestEstimateStokes:
@@ -605,7 +726,7 @@ truth_rows = st.one_of(
 
 
 # The exact readout as it was formed for a whole batch in one array pass, kept verbatim as the oracle.
-_ARRAY_INSTRUMENT = np.array([_instrument_row(s.strategy_a, s.strategy_b, s.payoff_a) for s in protocol_steps()])
+_ARRAY_INSTRUMENT = np.array(_INSTRUMENT)
 
 
 def _array_plus_probabilities(truth: np.ndarray) -> np.ndarray:
@@ -633,9 +754,6 @@ class TestReadoutMatchesTheArrayPass:
         p, alice, exact = _array_readout(np.array(rows))
         for i, row in enumerate(rows):
             assert _bits(_readout(*row)) == _bits([p[i].tolist(), alice[i].tolist(), exact[i].tolist()]), row
-
-    def test_instrument_rows_are_the_arrays(self):
-        assert _bits(_INSTRUMENT) == _bits(_ARRAY_INSTRUMENT.tolist())
 
 
 class TestRowsMatchTheArrayStage:
@@ -788,26 +906,27 @@ class TestRunTomography:
         np.testing.assert_array_equal(a.rho_hat, b.rho_hat)
 
     # Per-step (label, value, std_error) of run_tomography(q, shots, 20240601),
-    # recorded from sampler binomial-count-v2: one generator per state, seeded
-    # with its three step seeds. A deliberate sampler change updates them.
+    # recorded from sampler binomial-count-v3: one PCG64 generator per state,
+    # its state words the three step seeds and 0. A deliberate sampler change
+    # updates them.
     SEED_PINS = {
-        ("pole", 16): [("S2", 0.0, 0.25), ("S1", 0.25, 0.24206145913796356), ("S3", 1.0, 0.0)],
+        ("pole", 16): [("S2", 0.0, 0.25), ("S1", 0.125, 0.24803918541230538), ("S3", 1.0, 0.0)],
         ("pole", 4096): [
-            ("S2", -0.01611328125, 0.015622971447751712),
-            ("S1", -0.01513671875, 0.015623209895468414),
+            ("S2", 0.0029296875, 0.015624932944630743),
+            ("S1", 0.009765625, 0.015624254924175893),
             ("S3", 1.0, 0.0),
         ],
-        ("equator", 16): [("S2", 1.0, 0.0), ("S1", -0.25, 0.24206145913796356), ("S3", -0.375, 0.23175620272173947)],
+        ("equator", 16): [("S2", 1.0, 0.0), ("S1", 0.125, 0.24803918541230538), ("S3", 0.0, 0.25)],
         ("equator", 4096): [
             ("S2", 1.0, 0.0),
-            ("S1", -0.02001953125, 0.015621868579718768),
-            ("S3", 0.00830078125, 0.01562446168627886),
+            ("S1", 0.01220703125, 0.015623835803410412),
+            ("S3", -0.01416015625, 0.015623433436897658),
         ],
-        ("generic", 16): [("S2", 0.625, 0.19515618744994995), ("S1", -0.75, 0.16535945694153692), ("S3", 0.125, 0.24803918541230538)],
+        ("generic", 16): [("S2", 0.625, 0.19515618744994995), ("S1", -0.5, 0.21650635094610965), ("S3", 0.5, 0.21650635094610965)],
         ("generic", 4096): [
-            ("S2", 0.65234375, 0.011842550564223725),
-            ("S1", -0.57958984375, 0.012732942912399032),
-            ("S3", 0.4345703125, 0.014072467331297751),
+            ("S2", 0.662109375, 0.011709487751503675),
+            ("S1", -0.5859375, 0.012661816350137406),
+            ("S3", 0.45703125, 0.013897666210711597),
         ],
     }
     PIN_STATES = {"pole": PureQubit(0.0, 0.0), "equator": PureQubit(HALF_PI, HALF_PI), "generic": PureQubit(1.1, 2.3)}
@@ -819,14 +938,13 @@ class TestRunTomography:
 
     def test_counts_follow_the_documented_recipe(self):
         # A state seeded s draws its three counts, in protocol order, from
-        # default_rng([derive_seed(s, 0), derive_seed(s, 1), derive_seed(s, 2)]).
-        assert qtomo.tomography.SAMPLER == "binomial-count-v2"
+        # Generator(PCG64) over the words [derive_seed(s, j) for j in 0, 1, 2] + [0].
+        assert qtomo.tomography.SAMPLER == "binomial-count-v3"
         for k, (q, shots) in enumerate(itertools.product(self.PIN_STATES.values(), (1, 16, 4096, 10**6))):
             seed = derive_seed(2024, k)
             res = run_tomography(q, shots, seed)
-            rng = np.random.default_rng([derive_seed(seed, j) for j in range(3)])
             p_plus = _array_plus_probabilities(np.array(_pure_rows([(q.theta, q.phi)])))[0].tolist()
-            expected = [int(rng.binomial(shots, p)) for p in p_plus]
+            expected = _recipe_counts(p_plus, shots, [derive_seed(seed, j) for j in range(3)])
             assert [round((e.value + 1.0) * shots / 2.0) for e in res.per_step] == expected, (q, shots)
             assert [e.seed for e in res.per_step] == [derive_seed(seed, j) for j in range(3)]
 
@@ -844,10 +962,10 @@ class TestRunTomography:
             calls.append(s)
             return original(s)
 
-        for mod in (qtomo.game, qtomo.tomography):
-            monkeypatch.setattr(mod, "strategy_unitary", counting)
+        monkeypatch.setattr(qtomo.game, "strategy_unitary", counting)
         run_tomography(PureQubit(1.1, 2.3), 16, 1)
         assert calls == []
+        assert not hasattr(qtomo.tomography, "strategy_unitary")
 
     def test_scores_equal_the_public_metrics(self):
         rng = np.random.default_rng(41)
