@@ -1,7 +1,7 @@
 """Single-qubit state tomography through a two-player game protocol.
 
 Exact readout and finite-shot estimation of the Stokes parameters run through
-one 3x4 instrument matrix A, derived at import from the protocol steps: each
+one 3x4 instrument matrix A, read in closed form from Bob's strategies: each
 step pays Alice +1 with probability A (1, s1, s2, s3), so the hot path never
 builds a 4x4 state. Reconstruction projects onto the Bloch ball, scores use
 Bloch-vector closed forms, and `qtomo` is the command line.
