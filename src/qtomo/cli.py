@@ -23,10 +23,11 @@ eigen-checks a state it built or `PureQubit` checked.
 The one emitter, `_dumps`, writes each dict through a `%` template cached
 per shape (keys, exact value types, indent level): the template formats the
 numbers of exact type float or int itself, so a sweep cell is one C call,
-and every other value fills a slot with its text. Scalars of exact type
-float, int, str, bool or None come from a table keyed by that type, each
-list is one join, numpy scalars and subclasses take an isinstance chain that
-gives them the same text, and CSV cells reuse the same scalar formatter.
+and every other value fills a slot with its text. Each list is one join.
+A report holds only lists, dicts with str keys, and scalars of exact type
+float, int, str, bool or None; one table keyed by exact type, `_SCALARS`,
+gives every scalar's text, in JSON and in CSV cells alike, and a value of
+any other type (a numpy scalar, a subclass) raises KeyError there.
 `sample` and `sweep` derive their trial and cell seeds from the checked
 master with the unchecked `_splitmix`, and build their CSV rows only when
 CSV is written. A sample report's step seeds are the PCG64 state words of
@@ -43,7 +44,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -68,65 +68,41 @@ MAX_TRIALS = 10_000
 MAX_CELLS = 10_000
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Values a dict template formats itself, by exact type: a `%.17g` slot prints
+# what `format(x, ".17g")` does and a `%d` slot what `int.__repr__` does.
+_SLOTS = {float: "%.17g", int: "%d"}
 
-
-# JSON text of a scalar by its exact type; `_scalar` handles every other scalar.
+# JSON text of a scalar by its exact type, the one table for every scalar a
+# report or CSV row holds; a value of any other type raises KeyError.
 _SCALARS = {
-    float: _fmt,
-    int: int.__repr__,
+    **{t: spec.__mod__ for t, spec in _SLOTS.items()},
     str: encode_basestring_ascii,  # what json.dumps returns for a str
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
 
 
-def _scalar(x) -> str:
-    """JSON text of a scalar: through `_SCALARS` by exact type, else by isinstance (numpy scalars, subclasses)."""
-    emit = _SCALARS.get(type(x))
-    if emit is not None:
-        return emit(x)
-    if isinstance(x, (int, np.integer)):  # bool and None cannot be subclassed: the table has them
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return _fmt(x)
-    return json.dumps(x)
-
-
-# Values a dict template formats itself, by exact type: a `%.17g` slot prints
-# what `format(x, ".17g")` does and a `%d` slot what `int.__repr__` does.
-_SLOTS = {float: "%.17g", int: "%d"}
-
-
 @functools.lru_cache(maxsize=256)
-def _template(keys: tuple, types: tuple, level: int) -> tuple[str, bool, bool]:
+def _template(keys: tuple, types: tuple, level: int) -> tuple[str, bool]:
     """The text of a dict of this shape with one `%` slot per value, and how to fill it.
 
     A float or int value fills its own slot; any other value fills a `%s`
-    slot with its text. Keys of exact type str are written in, `%` escaped as
-    `%%`. A dict with any other key gets a `%s` slot per key, filled per call,
-    as equal keys of other types (1, True, 1.0, -0.0) print differently.
-    Returns (template, every value fills its own slot, keys are written in).
+    slot with its text. The keys, which must be str, are written in, `%`
+    escaped as `%%`. Returns (template, every value fills its own slot).
     """
     pad = "\n" + "  " * level
     inner = pad + "  "
-    str_keys = all(type(k) is str for k in keys)
-    heads = [encode_basestring_ascii(k).replace("%", "%%") for k in keys] if str_keys else ["%s"] * len(keys)
+    heads = [encode_basestring_ascii(k).replace("%", "%%") for k in keys]
     items = [f"{head}: {_SLOTS.get(t, '%s')}" for head, t in zip(heads, types)]
-    return "{" + inner + ("," + inner).join(items) + pad + "}", all(t in _SLOTS for t in types), str_keys
+    return "{" + inner + ("," + inner).join(items) + pad + "}", all(t in _SLOTS for t in types)
 
 
 def _dumps(obj, level: int = 0) -> str:
     """Deterministic JSON with two-space indents and 17-significant-digit floats.
 
-    Scalars of exact type float, int, str, bool and None are emitted straight
-    from `_SCALARS`; each dict is one `%` through the template of its shape,
-    and each list one join.
+    Each dict is one `%` through the template of its shape, each list one
+    join, and each scalar its text from `_SCALARS`.
     """
-    emit = _SCALARS.get(type(obj))
-    if emit is not None:
-        return emit(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -134,11 +110,9 @@ def _dumps(obj, level: int = 0) -> str:
         # allocates ten slots and shrinks them, which would add a tuple of the
         # dict's size to CPython's free list on every call, up to 2000 a size.
         values = tuple(obj.values())
-        template, native, str_keys = _template(tuple(obj), (*map(type, values),), level)
+        template, native = _template(tuple(obj), (*map(type, values),), level)
         if not native:
             values = tuple([v if type(v) in _SLOTS else _dumps(v, level + 1) for v in values])
-        if not str_keys:
-            values = tuple([x for k, v in zip(obj, values) for x in (json.dumps(k), v)])
         return template % values
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -147,12 +121,7 @@ def _dumps(obj, level: int = 0) -> str:
         inner = pad + "  "
         items = [emit(v) if (emit := _SCALARS.get(type(v))) else _dumps(v, level + 1) for v in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return _scalar(obj)
-
-
-def _csv_cell(v) -> str:
-    """A number as the JSON report writes it; anything else as str(v)."""
-    return _scalar(v) if isinstance(v, (int, float, np.integer, np.floating)) else str(v)
+    return _SCALARS[type(obj)](obj)
 
 
 def _csv_text(header: list[str], rows: Iterable[list]) -> str:
@@ -160,7 +129,7 @@ def _csv_text(header: list[str], rows: Iterable[list]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+        writer.writerow([_SCALARS[type(v)](v) for v in row])
     return buf.getvalue()
 
 
@@ -204,7 +173,7 @@ def _stokes_json(s: StokesVector) -> dict:
 
 
 def _rho_json(rho: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(rho)]
+    return [[[z.real, z.imag] for z in row] for row in rho.tolist()]
 
 
 def _rho_cells(rho: np.ndarray) -> list[float]:
