@@ -53,7 +53,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .states import TWO_PI, PureQubit, StokesVector, _pauli_stokes, _pure_rows, pure_density
-from .tomography import SAMPLER, _IN_BLOCH_ORDER, _readout, _scored, _splitmix, _tomography, protocol_steps, reconstruct
+from .tomography import SAMPLER, _IN_BLOCH_ORDER, _bob, _readout, _scored, _splitmix, _tomography, protocol_steps, reconstruct
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -205,7 +205,7 @@ def _cmd_exact(args):
                 "beta_b": step.strategy_b.beta,
                 "alpha_b": step.strategy_b.alpha,
                 "alice": a,
-                "bob": -a,
+                "bob": _bob(a),
             }
         )
     report = {
@@ -220,7 +220,7 @@ def _cmd_exact(args):
     header = ["theta", "phi", "s1", "s2", "s3",
               "alice_s1", "bob_s1", "alice_s2", "bob_s2", "alice_s3", "bob_s3", "residual"]
     row = [q.theta, q.phi, exact.s1, exact.s2, exact.s3,
-           exact.s1, -exact.s1, exact.s2, -exact.s2, exact.s3, -exact.s3, residual]
+           exact.s1, _bob(exact.s1), exact.s2, _bob(exact.s2), exact.s3, _bob(exact.s3), residual]
     return report, header, [row]
 
 

@@ -218,11 +218,16 @@ def _readout(s1: float, s2: float, s3: float) -> tuple[list[float], list[float],
     return p, alice, _IN_BLOCH_ORDER(alice)
 
 
+def _bob(alice: float) -> float:
+    """Bob's payoff when Alice is paid alice: the game is zero-sum, and 0.0 - alice is +0.0 where she is paid 0."""
+    return 0.0 - alice
+
+
 def step_payoffs(rho: np.ndarray) -> tuple[StepPayoffs, ...]:
     """Exact payoffs of both players at each canonical step: Alice 2 P(+1) - 1, Bob its negative."""
     s = stokes_of(rho)
     _, alice, _ = _readout(s.s1, s.s2, s.s3)
-    return tuple(StepPayoffs(label, a, -a) for label, a in zip(_LABELS, alice))
+    return tuple(StepPayoffs(label, a, _bob(a)) for label, a in zip(_LABELS, alice))
 
 
 def exact_stokes(rho: np.ndarray) -> StokesVector:

@@ -143,6 +143,11 @@ class TestExactStokes:
     def test_bob_mirrors_alice(self):
         for payoffs in step_payoffs(pure_density(PureQubit(1.2, 0.4))):
             assert payoffs.bob == -payoffs.alice
+        # At the pole S1 and S2 pay exactly 0, and Bob's 0 is +0.0, not -0.0.
+        pole = {p.label: p for p in step_payoffs(pure_density(PureQubit(0.0, 0.0)))}
+        for label in ("S1", "S2"):
+            assert pole[label].alice == 0.0
+            assert math.copysign(1.0, pole[label].bob) == 1.0
 
     def test_rejects_non_density(self):
         with pytest.raises(ValueError):
