@@ -451,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, header, rows = _HANDLERS[args.command](args)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = _dumps(report) + "\n" if args.format == "json" else _csv_text(header, rows)

@@ -73,6 +73,7 @@ BOB_PAYOFF = PayoffMatrix(-1.0, 1.0, -1.0, 1.0)
 SAMPLER = "binomial-count-v3"
 
 _MASK64 = (1 << 64) - 1
+_MAX_SHOTS = (1 << 63) - 1  # numpy's binomial takes its count as a C long
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -179,10 +180,10 @@ def _check_seed(seed: int) -> int:
 
 
 def _check_shots(shots: int) -> int:
-    """The shot count as a Python int; raises unless it is an integer >= 1."""
+    """The shot count as a Python int; raises unless it is an integer from 1 to 2**63 - 1."""
     shots = operator.index(shots)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise ValueError("shots must be between 1 and 2**63 - 1")
     return shots
 
 
@@ -365,7 +366,7 @@ def _scored(batch: _Batch, i: int) -> TomographyResult:
 
 
 def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
-    """Sample all three steps with shots each, and read them out exactly too.
+    """Sample all three steps with shots each, 1 to 2**63 - 1, and read them out exactly too.
 
     The three step seeds derive_seed(seed, i) together seed the one generator
     that draws the three counts, in protocol order.
@@ -376,6 +377,10 @@ def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
 
 def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:
     """Full pipeline: estimate, reconstruct with projection, score against truth.
+
+    shots, per step, must be an integer from 1 to 2**63 - 1, and seed an
+    unsigned 64-bit integer; anything else raises ValueError (TypeError for
+    a non-integer).
 
     The n = 1 case of `_tomography`, with the truth read by `_pure_rows`
     (no density check); the scores equal `fidelity(q, rho_hat)` and

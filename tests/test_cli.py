@@ -75,6 +75,16 @@ class TestExact:
         assert code == EXIT_USAGE
         assert "theta" in err
 
+    def test_a_bug_is_not_a_usage_error(self, capsys, monkeypatch):
+        # Only ValueError is a validation failure; any other exception propagates.
+        def broken(args):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setitem(_HANDLERS, "exact", broken)
+        with pytest.raises(IndexError):
+            main(["exact", "--theta", "1", "--phi", "1"])
+        assert capsys.readouterr().err == ""
+
     def test_missing_phi_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["exact", "--theta", "1.0"])

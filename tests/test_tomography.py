@@ -564,6 +564,10 @@ class TestEstimateStokes:
             estimate_stokes(rho, 2.5, 1)
         with pytest.raises(ValueError):
             estimate_stokes(rho, 0, 1)
+        # numpy's binomial takes a C long: the largest count runs, one more is refused up front.
+        with pytest.raises(ValueError):
+            estimate_stokes(rho, 2**63, 1)
+        assert estimate_stokes(rho, 2**63 - 1, 1).per_step[0].shots == 2**63 - 1
         res = estimate_stokes(rho, np.int64(16), 1)
         assert all(type(e.shots) is int for e in res.per_step)
         assert res.per_step == estimate_stokes(rho, 16, 1).per_step
