@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _require_density, cmatrix, kron
+from .linalg import _freeze, _require_density, cmatrix
 from .states import PureQubit, _wrap_angle
 
 KET0_PROJECTOR = cmatrix([[1, 0], [0, 0]])
@@ -90,7 +90,7 @@ def strategy_unitary(s: Strategy) -> np.ndarray:
 def initial_state(rho: np.ndarray) -> np.ndarray:
     """Append the ancilla: the 4x4 product state |0><0| kron rho."""
     _require_density(rho, 2)
-    return kron(KET0_PROJECTOR, rho)
+    return _freeze(np.kron(KET0_PROJECTOR, rho))
 
 
 def evolve(rho_in: np.ndarray, sa: Strategy, sb: Strategy) -> GameRun:
@@ -100,8 +100,8 @@ def evolve(rho_in: np.ndarray, sa: Strategy, sb: Strategy) -> GameRun:
     rho_f is not checked again.
     """
     _require_density(rho_in, 4)
-    u = kron(strategy_unitary(sa), strategy_unitary(sb))
-    rho_f = cmatrix(u @ rho_in @ u.conj().T)
+    u = np.kron(strategy_unitary(sa), strategy_unitary(sb))
+    rho_f = _freeze(u @ rho_in @ u.conj().T)
     return GameRun(rho_in=rho_in, strategy_a=sa, strategy_b=sb, rho_f=rho_f)
 
 
@@ -122,7 +122,7 @@ def payoff_exact(run: GameRun, p: PayoffMatrix) -> float:
     DEFAULT_TOL, both scaled by the payoff entries, so only the real part is
     read.
     """
-    return complex(np.trace(cmatrix(np.diag(p.entries())) @ run.rho_f)).real
+    return complex(np.trace(np.diag(p.entries()) @ run.rho_f)).real
 
 
 def payoff_closed_form(p: PayoffMatrix, sa: Strategy, sb: Strategy, q: PureQubit) -> float:

@@ -1,12 +1,12 @@
 """Validated complex matrices of the fixed 2x2 and 4x4 sizes used here.
 
-Constructors, the tensor product and the density predicate behind every
-input check, as pure functions over read-only numpy arrays of complex128;
-nothing mutates its inputs. DEFAULT_TOL is the package's one tolerance: only
-`is_density` takes a `tol`, and every density check elsewhere goes through
-`_require_density` at DEFAULT_TOL. Products, adjoints and traces
-are plain numpy (`@`, `.conj().T`, `np.trace`). Only dimensions 2 and 4
-exist in this problem, so the constructors reject anything else.
+The constructor and `is_density`, the one predicate that decides whether a
+matrix is a valid state, finiteness included: pure functions over
+read-only complex128 arrays that mutate nothing. DEFAULT_TOL is the one
+tolerance: only `is_density` takes a `tol`, and every density check
+elsewhere goes through `_require_density` at DEFAULT_TOL. Products, tensor
+products, adjoints and traces are plain numpy (`@`, `np.kron`, `.conj().T`,
+`np.trace`). Only dimensions 2 and 4 exist here; both reject any other.
 """
 
 from __future__ import annotations
@@ -40,23 +40,21 @@ def cmatrix(entries) -> np.ndarray:
     return _freeze(a)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two 2x2 matrices, basis order |00>, |01>, |10>, |11>."""
-    if _dim_of(a) != 2 or _dim_of(b) != 2:
-        raise ValueError("kron takes two 2x2 operands")
-    return _freeze(np.kron(a, b))
-
-
 def max_abs(a: np.ndarray) -> float:
     """Max-entry norm; the norm behind every tolerance check in this package."""
     return float(np.max(np.abs(a)))
 
 
 def is_density(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a is Hermitian, has unit trace, and is PSD, all within tol (max-entry norm)."""
+    """True iff a is finite, Hermitian, has unit trace, and is PSD, all within tol (max-entry norm).
+
+    Finiteness comes first: a NaN slips past every later comparison, and inf - inf would warn.
+    """
     _dim_of(a)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if not np.isfinite(a).all():
+        return False
     if max_abs(a - a.conj().T) > tol:
         return False
     if abs(complex(np.trace(a)) - 1.0) > tol:

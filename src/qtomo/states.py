@@ -107,7 +107,7 @@ def _pure_densities(angles) -> np.ndarray:
 
 def pure_density(q: PureQubit) -> np.ndarray:
     """Density matrix |psi><psi| of the pure state at (theta, phi)."""
-    return cmatrix(_pure_densities([(q.theta, q.phi)])[0])
+    return _freeze(_pure_densities([(q.theta, q.phi)]))[0]
 
 
 def _entry_stokes(r00, r01, r10, r11):

@@ -17,7 +17,8 @@ and alone forms Alice's payoffs 2 P(+1) - 1 and puts them in Bloch order;
 A step's m-shot estimate (2k - m)/m needs one draw of the count
 k ~ Binomial(m, P(+1)) of +1 shots.
 All randomness flows from one 64-bit master seed through a splitmix-style
-derivation, so every result is reproducible bit for bit.
+derivation, so every result is reproducible bit for bit on one numpy build
+and SIMD level (numpy's complex products round differently with FMA).
 
 The sampler, `SAMPLER` = "binomial-count-v3", gives each state one
 generator: state seed s draws its three counts, in protocol order, from

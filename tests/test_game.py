@@ -71,9 +71,12 @@ class TestInitialState:
             initial_state(0.5 * np.eye(2)), np.diag([0.5, 0.5, 0, 0]).astype(complex), atol=0
         )
 
-    def test_rejects_non_density(self):
+    def test_rejects_non_density(self, non_finite_states):
         with pytest.raises(ValueError):
             initial_state(cmatrix([[1, 1], [1, 1]]))
+        for rho in non_finite_states[2]:
+            with pytest.raises(ValueError, match="expected a valid 2x2 density matrix"):
+                initial_state(rho)
 
     def test_matches_expanded_form(self):
         # The appended state written out entry by entry, as an independent
@@ -121,13 +124,21 @@ class TestEvolve:
             assert is_density(run.rho_f, 1e-9)
 
     def test_result_is_read_only(self):
-        run = evolve(initial_state(pure_density(PureQubit(0.7, 2.1))), Strategy(1.0), Strategy(0.5))
-        with pytest.raises(ValueError):
-            run.rho_f[0, 0] = 0.0
+        # Each of the oracle's matrices, from the pure state to the evolved one.
+        rho = pure_density(PureQubit(0.7, 2.1))
+        rho_in = initial_state(rho)
+        run = evolve(rho_in, Strategy(1.0), Strategy(0.5))
+        for m in (rho, rho_in, run.rho_f):
+            assert m.dtype == np.complex128
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
 
-    def test_rejects_non_density(self):
+    def test_rejects_non_density(self, non_finite_states):
         with pytest.raises(ValueError):
             evolve(cmatrix(np.diag([1.5, -0.5, 0, 0])), Strategy(0.0), Strategy(0.0))
+        for rho_in in non_finite_states[4]:
+            with pytest.raises(ValueError, match="expected a valid 4x4 density matrix"):
+                evolve(rho_in, Strategy(0.0), Strategy(0.0))
 
 
 class TestPayoffMatrix:

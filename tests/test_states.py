@@ -121,9 +121,12 @@ class TestStokesOf:
         s = stokes_of(rho)
         np.testing.assert_allclose([s.s0, s.s1, s.s2, s.s3], [1.0, 0.3, 0.0, 0.0], atol=1e-15)
 
-    def test_rejects_non_density(self):
+    def test_rejects_non_density(self, non_finite_states):
         with pytest.raises(ValueError):
             stokes_of(SIGMA1)
+        for rho in non_finite_states[2]:
+            with pytest.raises(ValueError, match="expected a valid 2x2 density matrix"):
+                stokes_of(rho)
 
     def test_hermiticity_residue_within_tol_is_accepted(self):
         # is_density accepts this matrix, so its Stokes vector and its
@@ -283,9 +286,12 @@ class TestMetrics:
         assert fidelity(pole, KET1) == 0.0
         assert fidelity(pole, 0.5 * I2) == 0.5
 
-    def test_fidelity_rejects_non_density(self):
+    def test_fidelity_rejects_non_density(self, non_finite_states):
         with pytest.raises(ValueError):
             fidelity(PureQubit(0.0, 0.0), SIGMA1)
+        for rho in non_finite_states[2]:
+            with pytest.raises(ValueError, match="expected a valid 2x2 density matrix"):
+                fidelity(PureQubit(0.0, 0.0), rho)
 
     def test_trace_distance_examples(self):
         rho = pure_density(PureQubit(1.0, 2.0))

@@ -149,11 +149,15 @@ class TestExactStokes:
             assert pole[label].alice == 0.0
             assert math.copysign(1.0, pole[label].bob) == 1.0
 
-    def test_rejects_non_density(self):
+    def test_rejects_non_density(self, non_finite_states):
         with pytest.raises(ValueError):
             step_payoffs(cmatrix([[1, 1], [1, 1]]))
         with pytest.raises(ValueError):
             exact_stokes(cmatrix(np.diag([1.0, 0, 0, 0])))
+        for rho in non_finite_states[2]:
+            for read in (step_payoffs, exact_stokes):
+                with pytest.raises(ValueError, match="expected a valid 2x2 density matrix"):
+                    read(rho)
 
 
 class TestBlochGeometry:
@@ -553,6 +557,13 @@ class TestEstimateStokes:
     def test_exact_readout_is_exact_stokes(self, vec):
         rho = density_from_stokes(StokesVector(1.0, *vec))
         assert estimate_stokes(rho, 8, 5).stokes_exact == exact_stokes(rho)
+
+    def test_rejects_non_density(self, non_finite_states):
+        with pytest.raises(ValueError):
+            estimate_stokes(cmatrix([[1, 1], [1, 1]]), 16, 1)
+        for rho in non_finite_states[2]:
+            with pytest.raises(ValueError, match="expected a valid 2x2 density matrix"):
+                estimate_stokes(rho, 16, 1)
 
     def test_checks_the_state_once(self, is_density_calls):
         estimate_stokes(pure_density(PureQubit(0.9, 1.7)), 16, 1)
