@@ -2,7 +2,7 @@
 
 The constructor and `is_density`, the one predicate that decides whether a
 matrix is a valid state, finiteness included: pure functions over
-read-only complex128 arrays that mutate nothing. DEFAULT_TOL is the one
+read-only complex128 arrays, mutating no input. DEFAULT_TOL is the one
 tolerance: only `is_density` takes a `tol`, and every density check
 elsewhere goes through `_require_density` at DEFAULT_TOL. Products, tensor
 products, adjoints and traces are plain numpy (`@`, `np.kron`, `.conj().T`,
