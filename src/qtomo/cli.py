@@ -2,12 +2,16 @@
 and Bloch plane geometry, reported as JSON (default) or CSV.
 
 Every report carries the same top-level JSON keys (command, inputs, steps,
-stokes, reconstruction, metrics, seed); sections that do not apply are null.
+stokes, reconstruction, metrics, seed), written in that order only by
+`_report`; each handler passes the sections that apply, and the rest are null.
 Floats are serialized with 17 significant digits so that reports round-trip
 exactly and repeated seeded runs are byte-identical.
 
 The argument parser is built once per process (`build_parser` is cached),
 so a driver that calls `main` many times in one process pays for it once.
+Every command takes `--seed`, declared once beside `--format` and `--out`, and
+reads a token that starts with `-<digit>` or `-.<digit>` as a value, so a
+negative number in exponent form, as reports print it, parses.
 A sweep builds its grid as (theta, phi) pairs of Python floats
 (`_sweep_angles`), equal bit for bit to the angles `PureQubit` stores for
 numpy's `linspace`/`arange` grid, and builds no `PureQubit`: the angles are
@@ -46,6 +50,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
@@ -150,7 +155,7 @@ def _u64(text: str) -> int:
 
 def _resolve_seed(args) -> int:
     """--seed wins; then QTOMO_SEED; otherwise fresh entropy (still echoed)."""
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("QTOMO_SEED")
     if env is not None:
@@ -168,8 +173,25 @@ def _angles(args) -> PureQubit:
     return PureQubit(theta, phi)
 
 
+def _report(command: str, inputs: dict, seed, *, steps=None, stokes=None, reconstruction=None, metrics=None) -> dict:
+    """A JSON report: the one place its seven top-level keys are written, in their order."""
+    return {
+        "command": command,
+        "inputs": inputs,
+        "steps": steps,
+        "stokes": stokes,
+        "reconstruction": reconstruction,
+        "metrics": metrics,
+        "seed": seed,
+    }
+
+
 def _stokes_json(s: StokesVector) -> dict:
     return {"s0": s.s0, "s1": s.s1, "s2": s.s2, "s3": s.s3}
+
+
+def _reconstruction_json(rho: np.ndarray, projected: bool, bloch_norm: float) -> dict:
+    return {"rho": _rho_json(rho), "projected": projected, "bloch_norm": bloch_norm}
 
 
 def _rho_json(rho: np.ndarray) -> list:
@@ -208,15 +230,10 @@ def _cmd_exact(args):
                 "bob": _bob(a),
             }
         )
-    report = {
-        "command": "exact",
-        "inputs": {"theta": q.theta, "phi": q.phi},
-        "steps": steps,
-        "stokes": _stokes_json(exact),
-        "reconstruction": None,
-        "metrics": {"stokes_residual": residual},
-        "seed": args.seed,
-    }
+    report = _report(
+        "exact", {"theta": q.theta, "phi": q.phi}, args.seed,
+        steps=steps, stokes=_stokes_json(exact), metrics={"stokes_residual": residual},
+    )
     header = ["theta", "phi", "s1", "s2", "s3",
               "alice_s1", "bob_s1", "alice_s2", "bob_s2", "alice_s3", "bob_s3", "residual"]
     row = [q.theta, q.phi, exact.s1, exact.s2, exact.s3,
@@ -274,19 +291,11 @@ def _cmd_sample(args):
                 zip(trial_seeds, batch.fidelity, batch.trace_distance, batch.projected)
             )
         ]
-    report = {
-        "command": "sample",
-        "inputs": {"theta": q.theta, "phi": q.phi, "shots": args.shots, "trials": args.trials, "sampler": SAMPLER},
-        "steps": steps,
-        "stokes": _stokes_json(first.stokes_est),
-        "reconstruction": {
-            "rho": _rho_json(first.rho_hat),
-            "projected": first.projected,
-            "bloch_norm": first.stokes_est.bloch_norm(),
-        },
-        "metrics": metrics,
-        "seed": master,
-    }
+    report = _report(
+        "sample", {"theta": q.theta, "phi": q.phi, "shots": args.shots, "trials": args.trials, "sampler": SAMPLER},
+        master, steps=steps, stokes=_stokes_json(first.stokes_est), metrics=metrics,
+        reconstruction=_reconstruction_json(first.rho_hat, first.projected, first.stokes_est.bloch_norm()),
+    )
     return report, header, rows
 
 
@@ -322,17 +331,8 @@ def _cmd_sweep(args):
         dict(zip(_SWEEP_KEYS, [theta, phi, *exact, *est, fid, seed]))
         for (theta, phi), exact, est, fid, seed in columns
     ]
-    report = {
-        "command": "sweep",
-        "inputs": {
-            "theta_steps": args.theta_steps, "phi_steps": args.phi_steps, "shots": args.shots, "sampler": SAMPLER,
-        },
-        "steps": cells,
-        "stokes": None,
-        "reconstruction": None,
-        "metrics": {"cells": len(cells)},
-        "seed": master,
-    }
+    inputs = {"theta_steps": args.theta_steps, "phi_steps": args.phi_steps, "shots": args.shots, "sampler": SAMPLER}
+    report = _report("sweep", inputs, master, steps=cells, metrics={"cells": len(cells)})
     header = _SWEEP_KEYS[:-1]
     return report, header, ([cell[k] for k in header] for cell in cells)
 
@@ -340,19 +340,11 @@ def _cmd_sweep(args):
 def _cmd_reconstruct(args):
     raw = StokesVector(1.0, args.s1, args.s2, args.s3)
     rho_hat, projected = reconstruct(raw)
-    report = {
-        "command": "reconstruct",
-        "inputs": {"s1": args.s1, "s2": args.s2, "s3": args.s3},
-        "steps": None,
-        "stokes": _stokes_json(_pauli_stokes(rho_hat)),  # reconstruct built a valid rho_hat
-        "reconstruction": {
-            "rho": _rho_json(rho_hat),
-            "projected": projected,
-            "bloch_norm": raw.bloch_norm(),
-        },
-        "metrics": None,
-        "seed": args.seed,
-    }
+    report = _report(
+        "reconstruct", {"s1": args.s1, "s2": args.s2, "s3": args.s3}, args.seed,
+        stokes=_stokes_json(_pauli_stokes(rho_hat)),  # reconstruct built a valid rho_hat
+        reconstruction=_reconstruction_json(rho_hat, projected, raw.bloch_norm()),
+    )
     header = ["s1", "s2", "s3"] + _RHO_COLUMNS + ["projected", "bloch_norm"]
     row = [args.s1, args.s2, args.s3] + _rho_cells(rho_hat) + [projected, raw.bloch_norm()]
     return report, header, [row]
@@ -364,15 +356,10 @@ def _cmd_bloch(args):
     # Each step's plane pins one Bloch coordinate (x = s1, y = s2, z = s3);
     # the three planes meet at the Bloch point.
     point = [s.s1, s.s2, s.s3]
-    report = {
-        "command": "bloch",
-        "inputs": {"theta": q.theta, "phi": q.phi},
-        "steps": None,
-        "stokes": _stokes_json(s),
-        "reconstruction": None,
-        "metrics": {"plane_x": s.s1, "plane_y": s.s2, "plane_z": s.s3, "point": point},
-        "seed": args.seed,
-    }
+    report = _report(
+        "bloch", {"theta": q.theta, "phi": q.phi}, args.seed,
+        stokes=_stokes_json(s), metrics={"plane_x": s.s1, "plane_y": s.s2, "plane_z": s.s3, "point": point},
+    )
     header = ["theta", "phi", "plane_x", "plane_y", "plane_z", "x", "y", "z"]
     return report, header, [[q.theta, q.phi, *point, *point]]
 
@@ -395,7 +382,12 @@ def _add_angle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degrees", action="store_true", help="interpret --theta/--phi in degrees")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
+def _add_common_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--seed", type=_u64, default=None,
+        help="unsigned 64-bit seed, echoed in the report; sample and sweep draw from it, "
+        "else from QTOMO_SEED, else from fresh entropy",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -415,35 +407,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact per-step payoffs and Stokes vector")
     _add_angle_args(p)
-    p.add_argument("--seed", type=_u64, default=None, help="echoed in the report; unused")
-    _add_output_args(p)
+    _add_common_args(p)
 
     p = sub.add_parser("sample", help="finite-shot tomography of one pure state")
     _add_angle_args(p)
     p.add_argument("--shots", type=int, default=8192, help="shots per step (default 8192)")
-    p.add_argument("--seed", type=_u64, default=None)
     p.add_argument("--trials", type=int, default=1, help="independent repetitions")
-    _add_output_args(p)
+    _add_common_args(p)
 
     p = sub.add_parser("sweep", help="exact + sampled Stokes over a (theta, phi) grid")
     p.add_argument("--theta-steps", type=int, default=5)
     p.add_argument("--phi-steps", type=int, default=5)
     p.add_argument("--shots", type=int, default=8192, help="shots per step per cell")
-    p.add_argument("--seed", type=_u64, default=None)
-    _add_output_args(p)
+    _add_common_args(p)
 
     p = sub.add_parser("reconstruct", help="density matrix from given Stokes values")
     p.add_argument("--s1", type=float, required=True)
     p.add_argument("--s2", type=float, required=True)
     p.add_argument("--s3", type=float, required=True)
-    p.add_argument("--seed", type=_u64, default=None, help="echoed in the report; unused")
-    _add_output_args(p)
+    _add_common_args(p)
 
     p = sub.add_parser("bloch", help="measurement planes and Bloch point of a pure state")
     _add_angle_args(p)
-    p.add_argument("--seed", type=_u64, default=None, help="echoed in the report; unused")
-    _add_output_args(p)
+    _add_common_args(p)
 
+    # No option starts with -<digit>, so read such a token as a value: argparse's
+    # own test takes -1.5 but not -1e-3, which reports print.
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 

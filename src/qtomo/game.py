@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _freeze, _require_density, cmatrix
-from .states import PureQubit, _wrap_angle
+from .states import PureQubit, _set_angles
 
 KET0_PROJECTOR = cmatrix([[1, 0], [0, 0]])
 
@@ -39,12 +39,7 @@ class Strategy:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and math.isfinite(self.alpha)):
-            raise ValueError("strategy angles must be finite")
-        if not 0.0 <= self.beta <= math.pi:
-            raise ValueError(f"beta must be in [0, pi], got {self.beta}")
-        object.__setattr__(self, "beta", self.beta + 0.0)
-        object.__setattr__(self, "alpha", _wrap_angle(self.alpha))
+        _set_angles(self, "beta", "alpha", "strategy angles")
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,7 @@ def strategy_unitary(s: Strategy) -> np.ndarray:
     c = math.cos(s.beta / 2.0)
     si = math.sin(s.beta / 2.0)
     ph = cmath.exp(1j * s.alpha)
-    return cmatrix([[ph * c, si], [-si, ph.conjugate() * c]])
+    return _freeze(np.array([[ph * c, si], [-si, ph.conjugate() * c]], dtype=np.complex128))
 
 
 def initial_state(rho: np.ndarray) -> np.ndarray:

@@ -36,14 +36,23 @@ SIGMA3 = cmatrix([[1, 0], [0, -1]])
 PAULIS = (SIGMA0, SIGMA1, SIGMA2, SIGMA3)
 
 
-def _wrap_angle(x: float) -> float:
-    """x reduced into [0, 2 pi).
+def _set_angles(obj, polar: str, azimuth: str, what: str) -> None:
+    """Check and store a frozen dataclass's angle pair: the one rule for `PureQubit` and `Strategy`.
 
-    Python's `x % TWO_PI` lies in [0, 2 pi] for finite x: for a tiny negative
-    x the sum that brings it into range rounds up to 2 pi itself, read as 0.
+    Both angles must be finite (else "<what> must be finite") and the polar
+    angle must lie in [0, pi]; it is stored as polar + 0.0, so -0.0 reads as
+    0.0, and the azimuth is reduced into [0, 2 pi). Python's `x % TWO_PI`
+    lies in [0, 2 pi] for finite x: for a tiny negative x the sum that brings
+    it into range rounds up to 2 pi itself, stored as 0.
     """
-    r = x % TWO_PI
-    return 0.0 if r == TWO_PI else r
+    theta, phi = getattr(obj, polar), getattr(obj, azimuth)
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"{what} must be finite")
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"{polar} must be in [0, pi], got {theta}")
+    phi %= TWO_PI
+    object.__setattr__(obj, polar, theta + 0.0)
+    object.__setattr__(obj, azimuth, 0.0 if phi == TWO_PI else phi)
 
 
 @dataclass(frozen=True)
@@ -59,12 +68,7 @@ class PureQubit:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must be in [0, pi], got {self.theta}")
-        object.__setattr__(self, "theta", self.theta + 0.0)
-        object.__setattr__(self, "phi", _wrap_angle(self.phi))
+        _set_angles(self, "theta", "phi", "angles")
 
 
 @dataclass(frozen=True)

@@ -552,6 +552,31 @@ class TestStdoutErrors:
         assert "Traceback" not in proc.stderr
 
 
+class TestNegativeNumbers:
+    """A negative number in exponent form, as reports print it, is a value, not an option."""
+
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["reconstruct", "--s2", "0", "--s3", "0.5"], "--s1", "-1e-3"),
+            (["exact", "--theta", "1"], "--phi", "-2.5e-1"),
+            (["sample", "--theta", "1", "--shots", "16", "--seed", "3"], "--phi", "-.5e1"),
+            # s2 at theta = pi, as tests/golden/sweep.json prints it
+            (["reconstruct", "--s1", "0", "--s3", "-1"], "--s2", "-1.1102230246251565e-16"),
+        ],
+    )
+    def test_parses_as_its_equals_spelling(self, capsys, argv, option, value):
+        code, out, err = run_cli(capsys, argv + [option, value])
+        assert code == EXIT_OK, err
+        assert out == run_cli(capsys, argv + [f"{option}={value}"])[1]
+
+    def test_negative_infinity_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--theta", "1", "--phi", "-inf"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--phi: expected one argument" in capsys.readouterr().err
+
+
 class TestParserReuse:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()

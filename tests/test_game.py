@@ -39,6 +39,27 @@ class TestStrategy:
     def test_alpha_normalized(self):
         assert Strategy(0.5, 2.0 * math.pi).alpha == 0.0
 
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match=r"^strategy angles must be finite$"):
+            Strategy(0.5, math.inf)
+        with pytest.raises(ValueError, match=r"^strategy angles must be finite$"):
+            Strategy(math.nan, 0.0)
+        with pytest.raises(ValueError, match=r"^beta must be in \[0, pi\], got 3\.5$"):
+            Strategy(3.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "given, stored",
+        [((-0.0, -0.0), (0.0, 0.0)), ((math.pi, math.pi), (math.pi, math.pi)), ((1.0, -1e-20), (1.0, 0.0))],
+    )
+    def test_stores_the_pair_pure_qubit_stores(self, given, stored):
+        # One rule checks and stores both angle pairs: a zero is stored as +0.0,
+        # and a tiny negative azimuth wraps to 0.0, not to 2 pi.
+        def signed(pair):
+            return [(x, math.copysign(1.0, x)) for x in pair]
+
+        s, q = Strategy(*given), PureQubit(*given)
+        assert signed((s.beta, s.alpha)) == signed((q.theta, q.phi)) == signed(stored)
+
     def test_identity_at_zero(self):
         np.testing.assert_array_equal(strategy_unitary(Strategy(0.0, 0.0)), np.eye(2))
 
@@ -128,7 +149,7 @@ class TestEvolve:
         rho = pure_density(PureQubit(0.7, 2.1))
         rho_in = initial_state(rho)
         run = evolve(rho_in, Strategy(1.0), Strategy(0.5))
-        for m in (rho, rho_in, run.rho_f):
+        for m in (rho, rho_in, strategy_unitary(Strategy(1.0, 2.0)), run.rho_f):
             assert m.dtype == np.complex128
             with pytest.raises(ValueError):
                 m[0, 0] = 0.0

@@ -55,7 +55,7 @@ class TestPureQubit:
     def test_theta_out_of_range_is_error(self):
         with pytest.raises(ValueError):
             PureQubit(-0.1, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^theta must be in \[0, pi\], got 4\.0$"):
             PureQubit(4.0, 0.0)
 
     def test_negative_zero_angle_is_stored_as_zero(self):
@@ -68,8 +68,9 @@ class TestPureQubit:
         assert PureQubit(0.5, -math.pi / 2).phi == pytest.approx(1.5 * math.pi)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            PureQubit(math.nan, 0.0)
+        for theta, phi in ((math.nan, 0.0), (0.5, -math.inf)):
+            with pytest.raises(ValueError, match=r"^angles must be finite$"):
+                PureQubit(theta, phi)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(-1e-17)
