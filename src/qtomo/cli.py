@@ -32,10 +32,14 @@ A report holds only lists, dicts with str keys, and scalars of exact type
 float, int, str, bool or None; one table keyed by exact type, `_SCALARS`,
 gives every scalar's text, in JSON and in CSV cells alike, and a value of
 any other type (a numpy scalar, a subclass) raises KeyError there.
-`sample` and `sweep` derive their trial and cell seeds from the checked
-master with the unchecked `_splitmix`, and build their CSV rows only when
-CSV is written. A sample report's step seeds are the PCG64 state words of
-its generator (`inputs.sampler` "binomial-count-v3"), so they reproduce it.
+Each handler returns (report, rows), each CSV row a dict that names every
+column beside its value; `_csv_text` writes the first row's keys as the
+header, then each row's cells, which need no quoting. A sweep's CSV rows are
+its JSON cells without `seed`. `sample` and `sweep` derive their trial and
+cell seeds from the checked master with the unchecked `_splitmix`, and build
+their CSV rows only when CSV is written. A sample report's step seeds are
+the PCG64 state words of its generator (`inputs.sampler`
+"binomial-count-v3"), so they reproduce it.
 
 Exit codes: 0 success, 2 validation/usage error, 3 I/O error (the --out
 file or stdout cannot be written). An --out file is written in binary
@@ -45,9 +49,7 @@ mode, as the UTF-8 bytes of the report's text.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import math
 import os
 import re
@@ -119,7 +121,7 @@ def _dumps(obj, level: int = 0) -> str:
         if not native:
             values = tuple([v if type(v) in _SLOTS else _dumps(v, level + 1) for v in values])
         return template % values
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         if not obj:
             return "[]"
         pad = "\n" + "  " * level
@@ -129,13 +131,14 @@ def _dumps(obj, level: int = 0) -> str:
     return _SCALARS[type(obj)](obj)
 
 
-def _csv_text(header: list[str], rows: Iterable[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+def _csv_text(rows: Iterable[dict]) -> str:
+    """CSV text: the first row's keys as the header, then each row's cells from `_SCALARS`."""
+    lines = []
     for row in rows:
-        writer.writerow([_SCALARS[type(v)](v) for v in row])
-    return buf.getvalue()
+        if not lines:
+            lines.append(",".join(row))
+        lines.append(",".join([_SCALARS[type(v)](v) for v in row.values()]))
+    return "".join(line + "\n" for line in lines)
 
 
 def _check_count(name: str, value: int, limit: int) -> None:
@@ -198,14 +201,12 @@ def _rho_json(rho: np.ndarray) -> list:
     return [[[z.real, z.imag] for z in row] for row in rho.tolist()]
 
 
-def _rho_cells(rho: np.ndarray) -> list[float]:
-    return [x for row in _rho_json(rho) for cell in row for x in cell]
-
-
-_RHO_COLUMNS = [
-    "rho00_re", "rho00_im", "rho01_re", "rho01_im",
-    "rho10_re", "rho10_im", "rho11_re", "rho11_im",
-]
+def _rho_cells(rho: np.ndarray) -> dict:
+    (r00, r01), (r10, r11) = rho.tolist()
+    return {
+        "rho00_re": r00.real, "rho00_im": r00.imag, "rho01_re": r01.real, "rho01_im": r01.imag,
+        "rho10_re": r10.real, "rho10_im": r10.imag, "rho11_re": r11.real, "rho11_im": r11.imag,
+    }
 
 
 def _cmd_exact(args):
@@ -234,22 +235,24 @@ def _cmd_exact(args):
         "exact", {"theta": q.theta, "phi": q.phi}, args.seed,
         steps=steps, stokes=_stokes_json(exact), metrics={"stokes_residual": residual},
     )
-    header = ["theta", "phi", "s1", "s2", "s3",
-              "alice_s1", "bob_s1", "alice_s2", "bob_s2", "alice_s3", "bob_s3", "residual"]
-    row = [q.theta, q.phi, exact.s1, exact.s2, exact.s3,
-           exact.s1, _bob(exact.s1), exact.s2, _bob(exact.s2), exact.s3, _bob(exact.s3), residual]
-    return report, header, [row]
+    row = {
+        "theta": q.theta, "phi": q.phi, "s1": exact.s1, "s2": exact.s2, "s3": exact.s3,
+        "alice_s1": exact.s1, "bob_s1": _bob(exact.s1), "alice_s2": exact.s2, "bob_s2": _bob(exact.s2),
+        "alice_s3": exact.s3, "bob_s3": _bob(exact.s3), "residual": residual,
+    }
+    return report, [row]
 
 
-def _sample_row(q: PureQubit, result, trial: int, seed: int) -> list:
-    est = _IN_BLOCH_ORDER(result.per_step)
+def _sample_row(q: PureQubit, result, trial: int, seed: int) -> dict:
+    x, y, z = _IN_BLOCH_ORDER(result.per_step)
     s = result.stokes_est
-    return (
-        [trial, q.theta, q.phi, est[0].shots, seed, s.s1, s.s2, s.s3]
-        + [e.std_error for e in est]
-        + _rho_cells(result.rho_hat)
-        + [result.projected, result.fidelity, result.trace_dist]
-    )
+    return {
+        "trial": trial, "theta": q.theta, "phi": q.phi, "shots": x.shots, "seed": seed,
+        "s1_hat": s.s1, "s2_hat": s.s2, "s3_hat": s.s3,
+        "stderr_s1": x.std_error, "stderr_s2": y.std_error, "stderr_s3": z.std_error,
+        **_rho_cells(result.rho_hat),
+        "projected": result.projected, "fidelity": result.fidelity, "trace_distance": result.trace_dist,
+    }
 
 
 def _cmd_sample(args):
@@ -260,15 +263,9 @@ def _cmd_sample(args):
     trial_seeds = [master] if args.trials == 1 else [_splitmix(master, t) for t in range(args.trials)]
     batch = _tomography(_pure_rows([(q.theta, q.phi)]) * args.trials, args.shots, trial_seeds)
     first = _scored(batch, 0)
-    header = (
-        ["trial", "theta", "phi", "shots", "seed", "s1_hat", "s2_hat", "s3_hat",
-         "stderr_s1", "stderr_s2", "stderr_s3"]
-        + _RHO_COLUMNS
-        + ["projected", "fidelity", "trace_distance"]
-    )
     rows = (_sample_row(q, _scored(batch, t) if t else first, t, ts) for t, ts in enumerate(trial_seeds))
     if args.format == "csv":  # the rows need no report
-        return None, header, rows
+        return None, rows
     steps = [
         {
             "step": i + 1,
@@ -296,10 +293,7 @@ def _cmd_sample(args):
         master, steps=steps, stokes=_stokes_json(first.stokes_est), metrics=metrics,
         reconstruction=_reconstruction_json(first.rho_hat, first.projected, first.stokes_est.bloch_norm()),
     )
-    return report, header, rows
-
-
-_SWEEP_KEYS = ["theta", "phi", "s1", "s2", "s3", "s1_hat", "s2_hat", "s3_hat", "fidelity", "seed"]
+    return report, rows
 
 
 def _sweep_angles(theta_steps: int, phi_steps: int) -> list[tuple[float, float]]:
@@ -328,26 +322,27 @@ def _cmd_sweep(args):
     batch = _tomography(_pure_rows(angles), args.shots, seeds)
     columns = zip(angles, batch.exact, batch.estimate, batch.fidelity, seeds)
     cells = [
-        dict(zip(_SWEEP_KEYS, [theta, phi, *exact, *est, fid, seed]))
-        for (theta, phi), exact, est, fid, seed in columns
+        {"theta": theta, "phi": phi, "s1": s1, "s2": s2, "s3": s3,
+         "s1_hat": e1, "s2_hat": e2, "s3_hat": e3, "fidelity": fid, "seed": seed}
+        for (theta, phi), (s1, s2, s3), (e1, e2, e3), fid, seed in columns
     ]
     inputs = {"theta_steps": args.theta_steps, "phi_steps": args.phi_steps, "shots": args.shots, "sampler": SAMPLER}
     report = _report("sweep", inputs, master, steps=cells, metrics={"cells": len(cells)})
-    header = _SWEEP_KEYS[:-1]
-    return report, header, ([cell[k] for k in header] for cell in cells)
+    return report, ({k: v for k, v in cell.items() if k != "seed"} for cell in cells)
 
 
 def _cmd_reconstruct(args):
     raw = StokesVector(1.0, args.s1, args.s2, args.s3)
     rho_hat, projected = reconstruct(raw)
+    norm = raw.bloch_norm()
     report = _report(
         "reconstruct", {"s1": args.s1, "s2": args.s2, "s3": args.s3}, args.seed,
         stokes=_stokes_json(_pauli_stokes(rho_hat)),  # reconstruct built a valid rho_hat
-        reconstruction=_reconstruction_json(rho_hat, projected, raw.bloch_norm()),
+        reconstruction=_reconstruction_json(rho_hat, projected, norm),
     )
-    header = ["s1", "s2", "s3"] + _RHO_COLUMNS + ["projected", "bloch_norm"]
-    row = [args.s1, args.s2, args.s3] + _rho_cells(rho_hat) + [projected, raw.bloch_norm()]
-    return report, header, [row]
+    row = {"s1": args.s1, "s2": args.s2, "s3": args.s3, **_rho_cells(rho_hat),
+           "projected": projected, "bloch_norm": norm}
+    return report, [row]
 
 
 def _cmd_bloch(args):
@@ -355,18 +350,17 @@ def _cmd_bloch(args):
     s = StokesVector(1.0, *_readout(*_pure_rows([(q.theta, q.phi)])[0])[2])
     # Each step's plane pins one Bloch coordinate (x = s1, y = s2, z = s3);
     # the three planes meet at the Bloch point.
-    point = [s.s1, s.s2, s.s3]
+    planes = {"plane_x": s.s1, "plane_y": s.s2, "plane_z": s.s3}
     report = _report(
         "bloch", {"theta": q.theta, "phi": q.phi}, args.seed,
-        stokes=_stokes_json(s), metrics={"plane_x": s.s1, "plane_y": s.s2, "plane_z": s.s3, "point": point},
+        stokes=_stokes_json(s), metrics={**planes, "point": [s.s1, s.s2, s.s3]},
     )
-    header = ["theta", "phi", "plane_x", "plane_y", "plane_z", "x", "y", "z"]
-    return report, header, [[q.theta, q.phi, *point, *point]]
+    return report, [{"theta": q.theta, "phi": q.phi, **planes, "x": s.s1, "y": s.s2, "z": s.s3}]
 
 
-# Each handler returns (report, CSV header, CSV rows); sample and sweep return
-# their rows as a generator, which only a CSV report runs, and sample builds
-# no report for CSV.
+# Each handler returns (report, CSV rows), each row a dict of column name to
+# value; sample and sweep return their rows as a generator, which only a CSV
+# report runs, and sample builds no report for CSV.
 _HANDLERS = {
     "exact": _cmd_exact,
     "sample": _cmd_sample,
@@ -441,11 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report, header, rows = _HANDLERS[args.command](args)
+        report, rows = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = _dumps(report) + "\n" if args.format == "json" else _csv_text(header, rows)
+    text = _dumps(report) + "\n" if args.format == "json" else _csv_text(rows)
     try:
         if args.out is None:
             sys.stdout.write(text)

@@ -5,14 +5,15 @@ wrote to stdout or to its --out file, or a library call whose results are
 written as text with every float as `float.hex`. A command that fails is
 recorded as "exit <code>" and its stderr. `corpus.json`, beside this file,
 maps each case name to the sha256 of its bytes, so the hash of a
-successful command's case equals `qtomo <argv> | sha256sum`.
+successful command's case equals `qtomo <argv> | sha256sum`. Each golden
+report beside it, `<name>.json`, holds the bytes of the case `GOLDENS` names.
 
-    python tests/golden/record_corpus.py           # rewrite corpus.json
-    python tests/golden/record_corpus.py --check   # name every case that moved, exit 1 if any
+    python tests/golden/record_corpus.py           # rewrite corpus.json and the golden reports
+    python tests/golden/record_corpus.py --check   # name every case and golden that moved, exit 1 if any
 
 A deliberate output change re-records the corpus in the same commit, so
 that commit's diff of corpus.json names each case that moved. The tier-1
-test `tests/test_corpus.py` recomputes every hash.
+test `tests/test_corpus.py` recomputes every hash and golden report.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ import tempfile
 from pathlib import Path
 
 CORPUS = Path(__file__).with_name("corpus.json")
+
+# Seeded reports also pinned as text, tests/golden/<name>.json, by the case
+# whose bytes each holds: one JSON report per command, plus a sweep over a
+# non-square odd grid, which pins the last bits of its interior angles.
+GOLDENS = {
+    "exact": "cli/exact/generic/json/stdout",
+    "bloch": "cli/bloch/generic/json/stdout",
+    "reconstruct": "cli/reconstruct/inside/json/stdout",
+    "sample": "cli/sample/golden/16/json/stdout",
+    "sweep": "cli/sweep/2x2/default-shots/json/stdout",
+    "sweep_3x7": "cli/sweep/3x7/16/json/stdout",
+}
 
 # Angle pairs as given on the command line: cardinal and generic states,
 # signed zeros, subnormals and a wrapped phi; "--degrees" reads the pair in degrees.
@@ -215,16 +228,25 @@ def outputs() -> dict[str, bytes]:
     return cases
 
 
-def hashes() -> dict[str, str]:
-    """Every case's sha256, by case name, sorted."""
-    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(outputs().items())}
+def hashes(cases: dict[str, bytes]) -> dict[str, str]:
+    """Each case's sha256, by case name, sorted."""
+    return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(cases.items())}
+
+
+def golden_path(name: str) -> Path:
+    return CORPUS.with_name(f"{name}.json")
 
 
 def main(argv: list[str]) -> int:
-    current = hashes()
+    cases = outputs()
+    current = hashes(cases)
     if argv == ["--check"]:
         recorded = json.loads(CORPUS.read_text(encoding="utf-8"))
         moved = sorted(k for k in recorded.keys() | current.keys() if recorded.get(k) != current.get(k))
+        moved += [
+            f"golden/{name}.json" for name, case in GOLDENS.items()
+            if not golden_path(name).is_file() or golden_path(name).read_bytes() != cases[case]
+        ]
         for name in moved:
             print(f"moved: {name}")
         print(f"{len(current)} cases, {len(moved)} moved")
@@ -233,7 +255,9 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     CORPUS.write_text(json.dumps(current, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(current)} cases written to {CORPUS.name}")
+    for name, case in GOLDENS.items():
+        golden_path(name).write_bytes(cases[case])
+    print(f"{len(current)} cases written to {CORPUS.name}, {len(GOLDENS)} golden reports beside it")
     return 0
 
 

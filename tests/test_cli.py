@@ -418,27 +418,8 @@ class TestOutputFile:
         assert out_path.read_bytes() == out.encode()
 
 
+# Seeded reports pinned as text; tests/test_corpus.py checks each against its corpus case.
 GOLDEN = Path(__file__).parent / "golden"
-
-# One seeded report per command in the default JSON format, plus a sweep
-# over a non-square odd grid, which pins the last bits of its interior
-# angles. A deliberate change to a report regenerates its file with the same
-# arguments plus `--out tests/golden/<key>.json`.
-GOLDEN_ARGS = {
-    "exact": ["exact", "--theta", "1.234567", "--phi", "4.2", "--seed", "7"],
-    "sample": ["sample", "--theta", "0.7", "--phi", "2.1", "--shots", "16", "--seed", "42"],
-    "sweep": ["sweep", "--theta-steps", "2", "--phi-steps", "2", "--seed", "42"],
-    "sweep_3x7": ["sweep", "--theta-steps", "3", "--phi-steps", "7", "--shots", "16", "--seed", "42"],
-    "reconstruct": ["reconstruct", "--s1", "0.6", "--s2", "0.8", "--s3", "0.3", "--seed", "7"],
-    "bloch": ["bloch", "--theta", "1.234567", "--phi", "4.2", "--seed", "7"],
-}
-
-
-@pytest.mark.parametrize("command", sorted(GOLDEN_ARGS))
-def test_seeded_report_matches_golden_text(capsys, command):
-    code, out, err = run_cli(capsys, GOLDEN_ARGS[command])
-    assert code == EXIT_OK, err
-    assert out == (GOLDEN / f"{command}.json").read_text(encoding="utf-8")
 
 
 CHECK_FREE_ARGS = {
@@ -589,7 +570,7 @@ class TestParserReuse:
             main(["--help"])
         assert exc.value.code == EXIT_OK
         capsys.readouterr()
-        code, out, err = run_cli(capsys, GOLDEN_ARGS["sweep"])
+        code, out, err = run_cli(capsys, ["sweep", "--theta-steps", "2", "--phi-steps", "2", "--seed", "42"])
         assert code == EXIT_OK, err
         assert out == (GOLDEN / "sweep.json").read_text(encoding="utf-8")
 
@@ -658,12 +639,18 @@ class TestNativeNumbers:
         ["sample", "--theta", "0", "--phi", "0", "--shots", "16", "--seed", "7"],
         ["sample", "--theta", "2.9", "--phi", "3.0", "--shots", "64", "--seed", "5", "--trials", "5"],
         ["sweep", "--theta-steps", "3", "--phi-steps", "2", "--shots", "16", "--seed", "3"],
+        ["exact", "--theta", "0", "--phi", "0", "--seed", "7"],
+        ["bloch", "--theta", "1.234567", "--phi", "4.2"],
+        ["reconstruct", "--s1", "1.2", "--s2", "0.3", "--s3", "-0.4"],
     ])
     def test_report_numbers(self, argv):
         args = build_parser().parse_args(argv)
-        report, _, rows = _HANDLERS[args.command](args)
-        numbers = list(_numbers(report)) + list(_numbers(list(rows)))
+        report, rows = _HANDLERS[args.command](args)
+        numbers = list(_numbers(report))
         assert numbers and {type(x) for x in numbers} <= {float, int, bool}
+        # Every CSV cell, none skipped, is a number the cell table writes.
+        cells = [v for row in rows for v in row.values()]
+        assert cells and {type(v) for v in cells} <= {float, int, bool}
 
 
 # The emitter before scalars were dispatched by exact type, kept as the oracle.
@@ -722,11 +709,20 @@ json_trees = st.recursive(
     json_scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
         st.dictionaries(json_keys, children, max_size=5),
     ),
     max_leaves=40,
 )
+
+csv_cells = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS), st.integers(-(2**100), 2**100), st.booleans())
+
+
+@st.composite
+def csv_rows(draw) -> list[dict]:
+    """1-5 CSV rows of the same identifier keys, in the same order, holding floats, ints and bools."""
+    keys = draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]{0,11}", fullmatch=True), min_size=1, max_size=8, unique=True))
+    n_rows = draw(st.integers(1, 5))
+    return [dict(zip(keys, draw(st.lists(csv_cells, min_size=len(keys), max_size=len(keys))))) for _ in range(n_rows)]
 
 
 class TestEmitter:
@@ -734,7 +730,7 @@ class TestEmitter:
 
     @settings(deadline=None, max_examples=250)
     @given(json_trees)
-    @example({"a": [0.1, -0.0, 5e-324], "b": (2**64 - 1, {}, [], None, True)})
+    @example({"a": [0.1, -0.0, 5e-324], "b": [2**64 - 1, {}, [], None, True]})
     # Keys holding `%`, which a template must escape.
     @example({"%": 0.5, "%s": 1, "100%": "x", "%%d": [0.25, 2]})
     # One shape of keys, different value types, at one level of one tree.
@@ -760,7 +756,7 @@ class TestEmitter:
         monkeypatch.setitem(_SCALARS, float, counting)
         assert _dumps([0.5]) == "[\n  0.5\n]" and calls == [0.5]  # the counter sees list items
         calls.clear()
-        code, out, err = run_cli(capsys, GOLDEN_ARGS["sweep"])
+        code, out, err = run_cli(capsys, ["sweep", "--theta-steps", "2", "--phi-steps", "2", "--seed", "42"])
         assert code == EXIT_OK, err
         assert out == (GOLDEN / "sweep.json").read_text(encoding="utf-8")
         assert calls == []
@@ -773,11 +769,16 @@ class TestEmitter:
         assert info.currsize <= info.maxsize
 
     @settings(deadline=None, max_examples=200)
-    @given(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS), st.integers(-(2**100), 2**100), st.booleans()))
-    @example(0.1)
-    def test_csv_cells_match_the_reference(self, value):
-        # A CSV row holds floats, ints and bools.
-        assert _csv_text(["value"], [[value]]) == f"value\n{_reference_csv_cell(value)}\n"
+    @given(csv_rows())
+    @example([{"value": 0.1}])
+    @example([{"a": True, "b": -0.0, "c": 2**64 - 1}, {"a": False, "b": float("nan"), "c": -1}])
+    def test_csv_cells_match_the_reference(self, rows):
+        # The csv module, which wrote CSV before, is the oracle: no cell qtomo writes needs quoting.
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([_reference_csv_cell(v) for v in row.values()] for row in rows)
+        assert _csv_text(iter(rows)) == buf.getvalue()
 
     def test_values_no_report_holds_raise(self):
         # numpy scalars and non-str keys have no entry in `_SCALARS` or a template.
@@ -786,4 +787,6 @@ class TestEmitter:
         with pytest.raises(TypeError):
             _dumps({1: 0.5})
         with pytest.raises(KeyError):
-            _csv_text(["value"], [[np.float64(0.5)]])
+            _dumps((0.5,))
+        with pytest.raises(KeyError):
+            _csv_text([{"value": np.float64(0.5)}])
