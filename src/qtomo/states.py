@@ -114,19 +114,20 @@ def pure_density(q: PureQubit) -> np.ndarray:
     return _freeze(_pure_densities([(q.theta, q.phi)]))[0]
 
 
-def _entry_stokes(r00, r01, r10, r11):
-    """(s0, s1, s2, s3) = Re tr(sigma_i rho) from the entries of rho, scalars or equal-shape arrays.
+def _entry_stokes(re00, re01, re10, re11, im01, im10):
+    """The Bloch vector (s1, s2, s3), s_i = Re tr(sigma_i rho), from the parts of rho's entries: the one place it is formed.
 
-    Each trace is a sum or difference of two entries, so no product sigma_i rho
-    is formed; adding 0.0 reads a zero trace as +0.0, as that product does when
-    an entry is -0.0 (a subnormal Bloch coordinate halves to -0.0).
+    The parts are the real parts of the four entries and the imaginary parts
+    of the two off the diagonal, all floats or all equal-shape float arrays.
+    Each trace is a sum or difference of two parts, s1 = Re r10 + Re r01,
+    s2 = Im r10 - Im r01 and s3 = Re r00 - Re r11, so no product sigma_i rho
+    is formed, nor a complex sum or 1j * r product; these equal the real parts
+    of the complex forms bit for bit. Adding 0.0 reads a zero trace as +0.0,
+    as that product does when an entry is -0.0 (a subnormal Bloch coordinate
+    halves to -0.0). s0 = tr rho is not a Bloch coordinate: `_pauli_stokes`,
+    the one reader that reports it, sums the diagonal itself.
     """
-    return (
-        (r00 + r11).real + 0.0,
-        (r10 + r01).real + 0.0,
-        (1j * r01 - 1j * r10).real + 0.0,
-        (r00 - r11).real + 0.0,
-    )
+    return re10 + re01 + 0.0, im10 - im01 + 0.0, re00 - re11 + 0.0
 
 
 def _pauli_stokes(rho: np.ndarray) -> StokesVector:
@@ -134,24 +135,29 @@ def _pauli_stokes(rho: np.ndarray) -> StokesVector:
 
     The imaginary part of tr(sigma_i rho) is tr(sigma_i (rho - rho^dagger))/2i,
     at most the Hermiticity residual that the caller's density check already
-    bounds by DEFAULT_TOL, so only the real part is read, by `_entry_stokes`.
+    bounds by DEFAULT_TOL, so only the real part is read: s0 = tr rho here, the
+    Bloch vector by `_entry_stokes`.
     """
     (r00, r01), (r10, r11) = rho.tolist()
-    return StokesVector(*_entry_stokes(r00, r01, r10, r11))
+    bloch = _entry_stokes(r00.real, r01.real, r10.real, r11.real, r01.imag, r10.imag)
+    return StokesVector(r00.real + r11.real + 0.0, *bloch)
 
 
 def _pure_rows(angles) -> list[list[float]]:
     """The Bloch vectors of the pure states at the given (theta, phi) pairs, as rows [s1, s2, s3] of floats.
 
-    One array pass: `_entry_stokes` reads the entries of `_pure_densities`
-    as `_pauli_stokes` does, so the row of `(q.theta, q.phi)` equals
-    `_pauli_stokes(pure_density(q))` bit for bit. No density check: the
-    angles are in range (`PureQubit` has checked them, or the caller built
-    them so), so each |psi><psi| is a valid pure state.
+    One array pass: `_entry_stokes` reads the parts of `_pure_densities`'
+    entries as `_pauli_stokes` does, a column of n floats per part, so the
+    row of `(q.theta, q.phi)` equals the Bloch vector of
+    `_pauli_stokes(pure_density(q))` bit for bit; the rows are zipped from
+    its three columns as lists. No density check: the angles are in range
+    (`PureQubit` has checked them, or the caller built them so), so each
+    |psi><psi| is a valid pure state.
     """
     rho = _pure_densities(angles)
-    s = _entry_stokes(rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1])
-    return np.array(s[1:]).T.tolist()
+    re, im = rho.real, rho.imag
+    s1, s2, s3 = _entry_stokes(re[:, 0, 0], re[:, 0, 1], re[:, 1, 0], re[:, 1, 1], im[:, 0, 1], im[:, 1, 0])
+    return list(map(list, zip(s1.tolist(), s2.tolist(), s3.tolist())))
 
 
 def stokes_of(rho: np.ndarray) -> StokesVector:
@@ -173,21 +179,26 @@ def density_from_stokes(s: StokesVector) -> np.ndarray:
 def _stokes_density(s0: float, s1: float, s2: float, s3: float) -> np.ndarray:
     """rho = (1/2) sum_i s_i sigma_i as a read-only array, unchecked: the one place it is formed.
 
-    The four entries are written out, equal bit for bit to the Pauli sum
+    The four entries are written one by one into a fresh complex128 array
+    (no dtype is inferred and no view is taken, so no writable base stays
+    behind), equal bit for bit to the Pauli sum
     0.5 * (s0 SIGMA0 + s1 SIGMA1 + s2 SIGMA2 + s3 SIGMA3): adding 0.0 turns
     a -0.0 into the +0.0 that sum gives where a sigma's zero entry is added.
     """
-    return _freeze(np.array([
-        [0.5 * (s0 + s3) + 0j, complex(0.5 * (s1 + 0.0), 0.5 * (0.0 - s2))],
-        [complex(0.5 * (s1 + 0.0), 0.5 * (s2 + 0.0)), 0.5 * (s0 - s3) + 0j],
-    ]))
+    rho = np.empty((2, 2), np.complex128)
+    rho[0, 0] = 0.5 * (s0 + s3) + 0j
+    rho[0, 1] = complex(0.5 * (s1 + 0.0), 0.5 * (0.0 - s2))
+    rho[1, 0] = complex(0.5 * (s1 + 0.0), 0.5 * (s2 + 0.0))
+    rho[1, 1] = 0.5 * (s0 - s3) + 0j
+    return _freeze(rho)
 
 
 def _bloch_fidelity(s, t) -> float:
-    """(1 + s.t)/2 of two Bloch vectors, clipped to [0, 1]: the fidelity when one state is pure."""
+    """(1 + s.t)/2 of two Bloch vectors, clipped to [0, 1] as `_readout` clips: the fidelity when one state is pure."""
     s1, s2, s3 = s
     t1, t2, t3 = t
-    return min(max(0.5 * (1.0 + (s1 * t1 + s2 * t2 + s3 * t3)), 0.0), 1.0)
+    f = 0.5 * (1.0 + (s1 * t1 + s2 * t2 + s3 * t3))
+    return 0.0 if f < 0.0 else 1.0 if f > 1.0 else f
 
 
 def _bloch_trace_distance(s, t) -> float:

@@ -213,10 +213,16 @@ def _readout(s1: float, s2: float, s3: float) -> tuple[list[float], list[float],
     """(P(+1) per step, Alice's payoff per step, her payoffs in Bloch order) of one Bloch vector, in floats.
 
     P(+1) = a0 + a1 s1 + a2 s2 + a3 s3, clipped to [0, 1], for each row a of
-    the instrument; the one place Alice's payoff 2 P(+1) - 1 is formed.
+    the instrument; the one place Alice's payoff 2 P(+1) - 1 is formed. The
+    clip is two comparisons, so -0.0 and NaN pass through unchanged, as they
+    do through min(max(x, 0.0), 1.0).
     """
-    p = [min(max(a0 + a1 * s1 + a2 * s2 + a3 * s3, 0.0), 1.0) for a0, a1, a2, a3 in _INSTRUMENT]
-    alice = [2.0 * x - 1.0 for x in p]
+    p, alice = [], []
+    for a0, a1, a2, a3 in _INSTRUMENT:
+        x = a0 + a1 * s1 + a2 * s2 + a3 * s3
+        x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+        p.append(x)
+        alice.append(2.0 * x - 1.0)
     return p, alice, _IN_BLOCH_ORDER(alice)
 
 

@@ -219,7 +219,9 @@ class TestStokesDensityMatchesPauliSum:
 
     @staticmethod
     def assert_bytes_equal(rho, s):
+        # Read-only, and no writable array behind it that could change it.
         assert not rho.flags.writeable
+        assert rho.base is None or not rho.base.flags.writeable
         assert rho.tobytes() == _pauli_sum(*s).tobytes(), s
 
     def test_corner_grid(self):

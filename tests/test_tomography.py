@@ -769,6 +769,11 @@ class TestReadoutMatchesTheArrayPass:
     @given(st.lists(truth_rows, min_size=1, max_size=8))
     @example([(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)])
     @example(CARDINAL_ROWS)
+    # Rows whose P(+1) leaves [0, 1] before the clip, so both of its branches run. The first is in the
+    # ball, and its S2 probability is -3.06e-26; the others lie 1e-9 beyond the sphere, where
+    # `exact_stokes` still admits them within DEFAULT_TOL, and reach 1.0000000005 or -5e-10.
+    @example([(-1e-9, -1.0, -1e-9)])
+    @example([(1 + 1e-9, 0.0, 0.0), (0.0, -1 - 1e-9, 0.0), (0.0, 0.0, 1 + 1e-9)])
     def test_rows(self, rows):
         p, alice, exact = _array_readout(np.array(rows))
         for i, row in enumerate(rows):
