@@ -16,11 +16,11 @@ A sweep builds its grid as (theta, phi) pairs of Python floats
 (`_sweep_angles`), equal bit for bit to the angles `PureQubit` stores for
 numpy's `linspace`/`arange` grid, and builds no `PureQubit`: the angles are
 in range by construction. It reads their pure states in one array pass
-(`_pure_rows`) as rows of floats, samples them in one batch that keeps
-counts, building no per-step `SampleEstimate`, and writes each cell from the
-batch's columns of plain Python numbers. A JSON trial set builds only trial 0's
-`TomographyResult` and reads every trial's scores from the same columns; a
-CSV trial set reuses it for trial 0's row and builds no JSON report.
+(`_pure_rows`) as rows of floats and runs the core, `_row`, on each, building
+no per-step `SampleEstimate`: a cell is its run's plain Python numbers. A
+JSON trial set builds only trial 0's `TomographyResult` and reads every
+trial's scores from its run; a CSV trial set reuses it for trial 0's row and
+builds no JSON report.
 `exact`, `bloch`, `sample` and `sweep` read each state out through the one
 exact readout, `_readout`, per Bloch vector in floats. No command
 eigen-checks a state it built or `PureQubit` checked.
@@ -55,12 +55,13 @@ import os
 import re
 import sys
 from collections.abc import Iterable
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .states import TWO_PI, PureQubit, StokesVector, _pauli_stokes, _pure_rows, pure_density
-from .tomography import SAMPLER, _IN_BLOCH_ORDER, _bob, _readout, _scored, _splitmix, _tomography, protocol_steps, reconstruct
+from .tomography import SAMPLER, _IN_BLOCH_ORDER, _bob, _readout, _row, _scored, _splitmix, protocol_steps, reconstruct
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -261,9 +262,10 @@ def _cmd_sample(args):
     q = _angles(args)
     master = _resolve_seed(args)
     trial_seeds = [master] if args.trials == 1 else [_splitmix(master, t) for t in range(args.trials)]
-    batch = _tomography(_pure_rows([(q.theta, q.phi)]) * args.trials, args.shots, trial_seeds)
-    first = _scored(batch, 0)
-    rows = (_sample_row(q, _scored(batch, t) if t else first, t, ts) for t, ts in enumerate(trial_seeds))
+    truth_row = _pure_rows([(q.theta, q.phi)])[0]
+    runs = [_row(truth_row, args.shots, ts) for ts in trial_seeds]
+    first = _scored(runs[0])
+    rows = (_sample_row(q, _scored(run) if t else first, t, ts) for t, (run, ts) in enumerate(zip(runs, trial_seeds)))
     if args.format == "csv":  # the rows need no report
         return None, rows
     steps = [
@@ -280,13 +282,13 @@ def _cmd_sample(args):
     metrics = {"fidelity": first.fidelity, "trace_distance": first.trace_dist}
     if args.trials > 1:
         metrics["trials"] = args.trials
-        metrics["median_fidelity"] = float(np.median(batch.fidelity))
-        metrics["min_fidelity"] = min(batch.fidelity)
+        fidelities = [run.fidelity for run in runs]
+        metrics["median_fidelity"] = float(np.median(fidelities))
+        metrics["min_fidelity"] = min(fidelities)
         metrics["per_trial"] = [
-            {"trial": t, "seed": ts, "fidelity": fid, "trace_distance": dist, "projected": projected}
-            for t, (ts, fid, dist, projected) in enumerate(
-                zip(trial_seeds, batch.fidelity, batch.trace_distance, batch.projected)
-            )
+            {"trial": t, "seed": ts, "fidelity": run.fidelity, "trace_distance": run.trace_distance,
+             "projected": run.projected}
+            for t, (run, ts) in enumerate(zip(runs, trial_seeds))
         ]
     report = _report(
         "sample", {"theta": q.theta, "phi": q.phi, "shots": args.shots, "trials": args.trials, "sampler": SAMPLER},
@@ -319,13 +321,11 @@ def _cmd_sweep(args):
     master = _resolve_seed(args)
     angles = _sweep_angles(args.theta_steps, args.phi_steps)
     seeds = [_splitmix(master, k) for k in range(len(angles))]
-    batch = _tomography(_pure_rows(angles), args.shots, seeds)
-    columns = zip(angles, batch.exact, batch.estimate, batch.fidelity, seeds)
-    cells = [
-        {"theta": theta, "phi": phi, "s1": s1, "s2": s2, "s3": s3,
-         "s1_hat": e1, "s2_hat": e2, "s3_hat": e3, "fidelity": fid, "seed": seed}
-        for (theta, phi), (s1, s2, s3), (e1, e2, e3), fid, seed in columns
-    ]
+    cells = []
+    for (theta, phi), seed, run in zip(angles, seeds, map(_row, _pure_rows(angles), repeat(args.shots), seeds)):
+        (s1, s2, s3), (e1, e2, e3) = run.exact, run.estimate
+        cells.append({"theta": theta, "phi": phi, "s1": s1, "s2": s2, "s3": s3,
+                      "s1_hat": e1, "s2_hat": e2, "s3_hat": e3, "fidelity": run.fidelity, "seed": seed})
     inputs = {"theta_steps": args.theta_steps, "phi_steps": args.phi_steps, "shots": args.shots, "sampler": SAMPLER}
     report = _report("sweep", inputs, master, steps=cells, metrics={"cells": len(cells)})
     return report, ({k: v for k, v in cell.items() if k != "seed"} for cell in cells)

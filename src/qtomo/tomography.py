@@ -27,17 +27,17 @@ derive_seed(s, 1), derive_seed(s, 2), 0], taken as they are. A step's
 reported `seed` is one of its generator's state words, so the three step
 seeds together reproduce the draw.
 
-One core, `_tomography`, runs the protocol on n Bloch vectors, each a row
-of three floats, and `_row` handles each state on its own in plain floats:
-it reads the state out through `_readout`, draws its three counts from its
-one generator and forms the estimate, its radial projection into the ball
-and both scores as closed forms of the counts and the truth. The batch holds
-each of these as a column of plain Python values, read as they are by
-results and reports, and keeps the counts: a row's `SampleEstimate`s are
-built by `_estimate` only when the row becomes a result. `run_tomography` is
-its n = 1 case and a CLI sweep or trial set is one call; `states._pure_rows`
-reads the batch's pure truths from their (theta, phi) pairs in one array
-pass, equal bit for bit to reading them one at a time.
+One core, `_row`, runs the protocol on one state in plain floats, given its
+Bloch vector (three floats), a checked shot count and a checked state seed:
+it derives the step seeds, reads the state out through `_readout`, draws its
+three counts from its one generator and forms the estimate, its radial
+projection into the ball and both scores as closed forms of the counts and
+the truth. Its record, `_Run`, holds plain Python values, read as they are
+by results and reports, and keeps the counts: `_result` builds a run's
+`SampleEstimate`s only when it becomes a result. `run_tomography` and
+`estimate_stokes` call it once; a CLI sweep or trial set maps it over its
+states, whose pure truths `states._pure_rows` reads from their (theta, phi)
+pairs in one array pass, equal bit for bit to reading them one at a time.
 """
 
 from __future__ import annotations
@@ -204,7 +204,6 @@ def _axis_row(b: Strategy) -> tuple[float, float, float, float]:
 
 _INSTRUMENT = tuple(_axis_row(s.strategy_b) for s in _PROTOCOL_STEPS)
 _LABELS = tuple(step.label for step in _PROTOCOL_STEPS)
-_STEPS = range(len(_LABELS))
 _BLOCH_ORDER = [_LABELS.index(label) for label in ("S1", "S2", "S3")]  # the steps reading s1, s2, s3
 _IN_BLOCH_ORDER = operator.itemgetter(*_BLOCH_ORDER)
 
@@ -311,16 +310,21 @@ def reconstruct(s: StokesVector) -> tuple[np.ndarray, bool]:
     return density_from_stokes(StokesVector(s.s0, *t)), projected
 
 
-def _row(truth_row: list[float], shots: int, step_seeds: list[int]) -> tuple:
-    """One state of the batch, from its Bloch vector (three floats) and its step seeds, in plain floats.
+# One state drawn at `shots` per step, each field a plain Python value: its three +1 counts and
+# step seeds, in protocol order; its exact and sampled Bloch readouts and the sample projected into
+# the ball (bloch_hat), three floats each; then the projected flag and the two scores.
+_Run = namedtuple("_Run", "shots counts step_seeds exact estimate bloch_hat projected fidelity trace_distance")
 
-    Reads the state out exactly (`_readout`), draws its three counts from
-    those P(+1) values, then forms its estimate (the step means
-    in Bloch order), the estimate projected into the ball (bloch_hat) and
-    both scores against the truth. The scores read t back from
-    rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does (s3 as
+
+def _row(truth_row: list[float], shots: int, seed: int) -> _Run:
+    """The protocol on one Bloch vector (three floats) under state seed `seed`; shots and seed are already checked.
+
+    The step seeds derive_seed(seed, j) are mixed by the unchecked
+    `_splitmix`. The estimate holds the step means in Bloch order. The scores
+    read t back from rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does (s3 as
     (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
     """
+    step_seeds = [_splitmix(seed, 0), _splitmix(seed, 1), _splitmix(seed, 2)]
     p, _, exact = _readout(*truth_row)
     counts = _draw(p, shots, step_seeds)
     k1, k2, k3 = _IN_BLOCH_ORDER(counts)
@@ -329,47 +333,21 @@ def _row(truth_row: list[float], shots: int, step_seeds: list[int]) -> tuple:
     t1, t2, t3 = t
     t_hat = (0.5 * (0.0 + t1) - 0.5 * (0.0 - t1), 0.5 * (0.0 + t2) - 0.5 * (0.0 - t2),
              0.5 * (1.0 + t3) - 0.5 * (1.0 - t3))
-    return (exact, counts, estimate, t, projected,
-            _bloch_fidelity(t_hat, truth_row), _bloch_trace_distance(t_hat, truth_row))
+    return _Run(shots, counts, step_seeds, exact, estimate, t, projected,
+                _bloch_fidelity(t_hat, truth_row), _bloch_trace_distance(t_hat, truth_row))
 
 
-# A batch of n states drawn at `shots` per step, as columns with a plain Python value per row: lists
-# of the three steps' +1 counts and of their seeds, in protocol order; the exact and sampled Bloch
-# readouts and the sample projected into the ball (bloch_hat), three floats each; then the
-# projected flags and the two scores.
-_Batch = namedtuple("_Batch", "shots counts step_seeds exact estimate bloch_hat projected fidelity trace_distance")
+def _result(run: _Run, **reconstruction) -> TomographyResult:
+    """A run as a TomographyResult, SampleEstimates built from its counts, plus any reconstruction fields."""
+    per_step = tuple(map(_estimate, run.counts, repeat(run.shots), run.step_seeds, _LABELS))
+    return TomographyResult(StokesVector(1.0, *run.estimate), per_step,
+                            stokes_exact=StokesVector(1.0, *run.exact), **reconstruction)
 
 
-def _tomography(truth: list[list[float]], shots: int, seeds: list[int]) -> _Batch:
-    """The protocol on each Bloch vector (a row of three floats); row i draws from the generator of its step seeds.
-
-    Row i's step seeds are derive_seed(seeds[i], j) for the steps j, and
-    `_draw` seeds the row's one generator with all three. Each state seed is
-    checked once, and its step seeds are mixed by the unchecked `_splitmix`.
-    `_row` reads out and finishes each state on its own, so a state's
-    numbers do not depend on its batch.
-
-    The batch keeps counts, not SampleEstimates: only a row turned into a
-    result (`_result`) builds its three.
-    """
-    shots = _check_shots(shots)
-    step_seeds = [list(map(_splitmix, repeat(seed), _STEPS)) for seed in map(_check_seed, seeds)]
-    exact, counts, estimate, bloch_hat, projected, fid, dist = zip(*map(_row, truth, repeat(shots), step_seeds))
-    return _Batch(shots, counts, step_seeds, exact, estimate, bloch_hat, projected, fid, dist)
-
-
-def _result(batch: _Batch, i: int, **reconstruction) -> TomographyResult:
-    """Row i of a batch as a TomographyResult, SampleEstimates built from its counts, plus any reconstruction fields."""
-    est = StokesVector(1.0, *batch.estimate[i])
-    per_step = tuple(map(_estimate, batch.counts[i], repeat(batch.shots), batch.step_seeds[i], _LABELS))
-    return TomographyResult(est, per_step, stokes_exact=StokesVector(1.0, *batch.exact[i]), **reconstruction)
-
-
-def _scored(batch: _Batch, i: int) -> TomographyResult:
-    """Row i of a batch with its reconstruction and scores; `_project` has put bloch_hat in the ball."""
-    rho_hat = _stokes_density(1.0, *batch.bloch_hat[i])
-    return _result(batch, i, rho_hat=rho_hat, projected=batch.projected[i],
-                   fidelity=batch.fidelity[i], trace_dist=batch.trace_distance[i])
+def _scored(run: _Run) -> TomographyResult:
+    """A run with its reconstruction and scores; `_project` has put bloch_hat in the ball."""
+    return _result(run, rho_hat=_stokes_density(1.0, *run.bloch_hat), projected=run.projected,
+                   fidelity=run.fidelity, trace_dist=run.trace_distance)
 
 
 def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
@@ -379,7 +357,7 @@ def estimate_stokes(rho: np.ndarray, shots: int, seed: int) -> TomographyResult:
     that draws the three counts, in protocol order.
     """
     s = stokes_of(rho)
-    return _result(_tomography([[s.s1, s.s2, s.s3]], shots, [seed]), 0)
+    return _result(_row([s.s1, s.s2, s.s3], _check_shots(shots), _check_seed(seed)))
 
 
 def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:
@@ -389,8 +367,7 @@ def run_tomography(q: PureQubit, shots: int, seed: int) -> TomographyResult:
     unsigned 64-bit integer; anything else raises ValueError (TypeError for
     a non-integer).
 
-    The n = 1 case of `_tomography`, with the truth read by `_pure_rows`
-    (no density check); the scores equal `fidelity(q, rho_hat)` and
-    `trace_distance(pure_density(q), rho_hat)`.
+    The truth is read by `_pure_rows` (no density check); the scores equal
+    `fidelity(q, rho_hat)` and `trace_distance(pure_density(q), rho_hat)`.
     """
-    return _scored(_tomography(_pure_rows([(q.theta, q.phi)]), shots, [seed]), 0)
+    return _scored(_row(_pure_rows([(q.theta, q.phi)])[0], _check_shots(shots), _check_seed(seed)))

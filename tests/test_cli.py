@@ -576,7 +576,7 @@ class TestParserReuse:
 
 
 class TestLazyPerStep:
-    """A sweep keeps counts; only rows turned into results build `SampleEstimate`s."""
+    """A sweep keeps counts; only runs turned into results build `SampleEstimate`s."""
 
     @pytest.fixture
     def estimates_built(self, monkeypatch):
@@ -597,7 +597,7 @@ class TestLazyPerStep:
     def test_each_result_builds_three(self, capsys, estimates_built):
         run_tomography(PureQubit(0.3, 0.4), 16, 1)
         assert len(estimates_built) == 3
-        # A JSON trial set builds trial 0's result only; its per-trial scores are batch columns.
+        # A JSON trial set builds trial 0's result only; it reads the per-trial scores from each run.
         run_json(capsys, ["sample", "--theta", "0.3", "--phi", "0.4", "--trials", "4", "--seed", "3"])
         assert len(estimates_built) == 3 + 3
         # CSV writes a row per trial, each from its own result, trial 0's built once.

@@ -27,7 +27,7 @@ from qtomo.states import (
     stokes_of,
     trace_distance,
 )
-from qtomo.tomography import _tomography, reconstruct, run_tomography
+from qtomo.tomography import _row, reconstruct, run_tomography
 
 I2 = np.eye(2, dtype=complex)
 KET0 = cmatrix([[1, 0], [0, 0]])
@@ -246,7 +246,7 @@ class TestStokesDensityMatchesPauliSum:
         st.integers(0, 2**64 - 1),
     )
     def test_rho_hat_of_run_tomography(self, q, shots, seed):
-        (t,) = _tomography(_pure_rows([(q.theta, q.phi)]), shots, [seed]).bloch_hat
+        t = _row(_pure_rows([(q.theta, q.phi)])[0], shots, seed).bloch_hat
         self.assert_bytes_equal(run_tomography(q, shots, seed).rho_hat, (1.0, *t))
 
 

@@ -1,6 +1,7 @@
 """Tests for the protocol steps, the shot sampler, and reconstruction."""
 
 import cmath
+import functools
 import itertools
 import math
 import tracemalloc
@@ -49,8 +50,8 @@ from qtomo.tomography import (
     _mean,
     _readout,
     _result,
+    _row,
     _state_words,
-    _tomography,
     derive_seed,
     estimate_stokes,
     exact_stokes,
@@ -271,7 +272,7 @@ class TestMeasurementDistribution:
 
 
 class TestSamplePayoff:
-    """A step's sampled payoff, drawn through the core's rows (`_tomography`)."""
+    """A step's sampled payoff, drawn through the core (`_row`)."""
 
     def test_deterministic_outcome_at_the_pole(self):
         s3 = _LABELS.index("S3")
@@ -281,17 +282,17 @@ class TestSamplePayoff:
             assert est.std_error == 0.0
 
     def test_bit_for_bit_reproducible(self):
-        truth = _pure_rows([(0.8, 1.7)])
-        a = _result(_tomography(truth, 5000, [321]), 0).per_step
-        b = _result(_tomography(truth, 5000, [321]), 0).per_step
+        truth = _pure_rows([(0.8, 1.7)])[0]
+        a = _result(_row(truth, 5000, 321)).per_step
+        b = _result(_row(truth, 5000, 321)).per_step
         assert a == b
 
     def test_concentration_near_certain_outcome(self):
         # S2 reads sin(theta) sin(phi) = 1 here, so nearly every draw is +1.
         shots, s2 = 10_000, _LABELS.index("S2")
-        batch = _tomography(_pure_rows([(HALF_PI, HALF_PI)] * 100), shots,
-                            [derive_seed(31415, k) for k in range(100)])
-        hits = sum(abs((2 * row[s2] - shots) / shots - 1.0) <= 5.0 / math.sqrt(shots) for row in batch.counts)
+        truth = _pure_rows([(HALF_PI, HALF_PI)])[0]
+        counts = [_row(truth, shots, derive_seed(31415, k)).counts for k in range(100)]
+        hits = sum(abs((2 * row[s2] - shots) / shots - 1.0) <= 5.0 / math.sqrt(shots) for row in counts)
         assert hits >= 95
 
     def test_std_error_bound_and_small_m(self):
@@ -303,11 +304,11 @@ class TestSamplePayoff:
                 assert 0.0 <= est.std_error <= 1.0 / math.sqrt(shots) + 1e-12
 
     def test_memory_does_not_grow_with_shots(self):
-        truth = _pure_rows([(1.1, 2.3)])
-        _tomography(truth, 1, [7])  # the first draw imports numpy's generator modules
+        truth = _pure_rows([(1.1, 2.3)])[0]
+        _row(truth, 1, 7)  # the first draw imports numpy's generator modules
         tracemalloc.start()
         try:
-            _tomography(truth, 1_000_000, [7])
+            _row(truth, 1_000_000, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -335,7 +336,7 @@ def _reference_counts(vec, shots, seeds):
 
 def _core_counts(vec, shots, seeds):
     """The core's counts: a row per seed, each row's three drawn from that state's one generator."""
-    return np.array(_tomography([vec] * len(seeds), shots, seeds).counts)
+    return np.array([_row(vec, shots, seed).counts for seed in seeds])
 
 
 def _chi_square(counts, m, p):
@@ -411,7 +412,7 @@ class TestNeighbouringStates:
     def counts(self):
         vec = _pure_rows([(1.1, 2.3)])[0]  # P(+1) = 0.83, 0.20, 0.73 over the steps
         seeds = [derive_seed(self.MASTER, k) for k in range(self.N)]
-        return vec, np.array(_tomography([vec] * self.N, self.SHOTS, seeds).counts)
+        return vec, np.array([_row(vec, self.SHOTS, seed).counts for seed in seeds])
 
     def test_counts_follow_the_binomial_law(self, counts):
         vec, k = counts
@@ -682,27 +683,6 @@ def _bits(x):
     return x
 
 
-class TestBatchCore:
-    """`_tomography` gives each state the same numbers in a batch of any size."""
-
-    # From 4 rows on, X @ A.T rounds some entries differently than row by row.
-    @settings(deadline=None, max_examples=60)
-    @given(st.lists(st.tuples(bloch_points, st.integers(0, 2**64 - 1)), min_size=4, max_size=24), st.integers(1, 10**6))
-    def test_rows_match_single_row_batches_bit_for_bit(self, rows, shots):
-        truth = [vec for vec, _ in rows]
-        seeds = [seed for _, seed in rows]
-        batch = _tomography(truth, shots, seeds)
-        alone = [_tomography(truth[i : i + 1], shots, [seed]) for i, seed in enumerate(seeds)]
-        assert batch.shots == shots and all(a.shots == shots for a in alone)
-        for i, a in enumerate(alone):
-            assert batch.counts[i] == a.counts[0], i
-            assert batch.step_seeds[i] == a.step_seeds[0] == [derive_seed(seeds[i], j) for j in range(3)], i
-            assert _result(batch, i).per_step == _result(a, 0).per_step, i
-        for name in ("exact", "estimate", "bloch_hat", "projected", "fidelity", "trace_distance"):
-            assert len(getattr(batch, name)) == len(rows) and all(len(getattr(a, name)) == 1 for a in alone), name
-            assert _bits(getattr(batch, name)) == [_bits(getattr(a, name)[0]) for a in alone], name
-
-
 # The array stage that followed the draw before each state was finished in its own row, kept as the oracle.
 _E3 = np.array([0.0, 0.0, 1.0])
 
@@ -784,20 +764,21 @@ class TestRowsMatchTheArrayStage:
     """Each state's estimate, projection and scores equal the old array stage's, bit for bit."""
 
     @staticmethod
-    def assert_rows_match(truth, shots, batch):
-        estimate, bloch_hat, projected, fid, dist = _reference_post_draw(np.array(truth), shots, batch.counts)
-        assert _bits(batch.estimate) == _bits(estimate.tolist())
-        assert _bits(batch.bloch_hat) == _bits(bloch_hat.tolist())
-        assert list(batch.projected) == projected.tolist()
-        assert _bits(batch.fidelity) == _bits(fid.tolist())
-        assert _bits(batch.trace_distance) == _bits(dist.tolist())
+    def assert_rows_match(truth, shots, runs):
+        counts = [r.counts for r in runs]
+        estimate, bloch_hat, projected, fid, dist = _reference_post_draw(np.array(truth), shots, counts)
+        assert _bits([r.estimate for r in runs]) == _bits(estimate.tolist())
+        assert _bits([r.bloch_hat for r in runs]) == _bits(bloch_hat.tolist())
+        assert [r.projected for r in runs] == projected.tolist()
+        assert _bits([r.fidelity for r in runs]) == _bits(fid.tolist())
+        assert _bits([r.trace_distance for r in runs]) == _bits(dist.tolist())
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.tuples(truth_rows, st.integers(0, 2**64 - 1)), min_size=1, max_size=8), st.integers(1, 10**6))
     def test_drawn_counts(self, rows, shots):
         truth = [vec for vec, _ in rows]
-        batch = _tomography(truth, shots, [seed for _, seed in rows])
-        self.assert_rows_match(truth, shots, batch)
+        runs = [_row(vec, shots, seed) for vec, seed in rows]
+        self.assert_rows_match(truth, shots, runs)
 
     # Counts of any value, also those the sampler seldom draws: every step at 0 or at shots projects.
     @settings(deadline=None, max_examples=300)
@@ -813,9 +794,9 @@ class TestRowsMatchTheArrayStage:
         truth = [vec for vec, _ in rows]
         counts = [k for _, k in rows]
         with mock.patch.object(qtomo.tomography, "_draw", side_effect=counts):
-            batch = _tomography(truth, shots, list(range(len(rows))))
-        assert list(batch.counts) == counts
-        self.assert_rows_match(truth, shots, batch)
+            runs = [_row(vec, shots, seed) for seed, vec in enumerate(truth)]
+        assert [r.counts for r in runs] == counts
+        self.assert_rows_match(truth, shots, runs)
 
 
 CORNER_THETAS = (0.0, HALF_PI, math.pi, 1e-300, 5e-324)
@@ -1003,6 +984,20 @@ class TestRunTomography:
     def test_fractional_shots_rejected(self):
         with pytest.raises(TypeError):
             run_tomography(PureQubit(1.1, 2.3), 2.5, 1)
+
+    def test_input_errors_are_reported_in_order(self):
+        # The density check comes first, then shots, then seed.
+        q = PureQubit(1.1, 2.3)
+        with pytest.raises(ValueError, match="expected a valid 2x2 density matrix"):
+            estimate_stokes(np.eye(2), 0, -1)
+        for entry in (functools.partial(run_tomography, q), functools.partial(estimate_stokes, pure_density(q))):
+            with pytest.raises(ValueError, match="shots must be between"):
+                entry(0, -1)
+            with pytest.raises(TypeError):
+                entry(2.5, -1)
+            for seed in (-1, 2**64):
+                with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+                    entry(16, seed)
 
     def test_metrics_are_consistent(self):
         res = run_tomography(PureQubit(2.2, 1.0), 20_000, 17)
