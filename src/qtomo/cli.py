@@ -1,45 +1,13 @@
 """qtomo command line: exact and sampled tomography, sweeps, reconstruction,
 and Bloch plane geometry, reported as JSON (default) or CSV.
 
-Every report carries the same top-level JSON keys (command, inputs, steps,
-stokes, reconstruction, metrics, seed), written in that order only by
-`_report`; each handler passes the sections that apply, and the rest are null.
-Floats are serialized with 17 significant digits so that reports round-trip
-exactly and repeated seeded runs are byte-identical.
-
-The argument parser is built once per process (`build_parser` is cached),
-so a driver that calls `main` many times in one process pays for it once.
-Every command takes `--seed`, declared once beside `--format` and `--out`, and
-reads a token that starts with `-<digit>` or `-.<digit>` as a value, so a
-negative number in exponent form, as reports print it, parses.
-A sweep builds its grid as (theta, phi) pairs of Python floats
-(`_sweep_angles`), equal bit for bit to the angles `PureQubit` stores for
-numpy's `linspace`/`arange` grid, and builds no `PureQubit`: the angles are
-in range by construction. It reads their pure states in one array pass
-(`_pure_rows`) as rows of floats and runs the core, `_row`, on each, building
-no per-step `SampleEstimate`: a cell is its run's plain Python numbers. A
-JSON trial set builds only trial 0's `TomographyResult` and reads every
-trial's scores from its run; a CSV trial set reuses it for trial 0's row and
-builds no JSON report.
-`exact`, `bloch`, `sample` and `sweep` read each state out through the one
-exact readout, `_readout`, per Bloch vector in floats. No command
-eigen-checks a state it built or `PureQubit` checked.
-The one emitter, `_dumps`, writes each dict through a `%` template cached
-per shape (keys, exact value types, indent level): the template formats the
-numbers of exact type float or int itself, so a sweep cell is one C call,
-and every other value fills a slot with its text. Each list is one join.
-A report holds only lists, dicts with str keys, and scalars of exact type
-float, int, str, bool or None; one table keyed by exact type, `_SCALARS`,
-gives every scalar's text, in JSON and in CSV cells alike, and a value of
-any other type (a numpy scalar, a subclass) raises KeyError there.
-Each handler returns (report, rows), each CSV row a dict that names every
-column beside its value; `_csv_text` writes the first row's keys as the
-header, then each row's cells, which need no quoting. A sweep's CSV rows are
-its JSON cells without `seed`. `sample` and `sweep` derive their trial and
-cell seeds from the checked master with the unchecked `_splitmix`, and build
-their CSV rows only when CSV is written. A sample report's step seeds are
-the PCG64 state words of its generator (`inputs.sampler`
-"binomial-count-v3"), so they reproduce it.
+Every JSON report carries the same top-level keys, in this order: command,
+inputs, steps, stokes, reconstruction, metrics, seed; a section that does not
+apply is null. Floats are written with 17 significant digits, so reports
+round-trip exactly and repeated seeded runs are byte-identical. A CSV report's
+header names every column, and no cell needs quoting. `sample` and `sweep`
+draw from --seed, else QTOMO_SEED, else fresh entropy, and echo the seed they
+used; a sample report's step seeds reproduce its draw.
 
 Exit codes: 0 success, 2 validation/usage error, 3 I/O error (the --out
 file or stdout cannot be written). An --out file is written in binary
@@ -94,8 +62,9 @@ _SCALARS = {
 def _template(keys: tuple, types: tuple, level: int) -> tuple[str, bool]:
     """The text of a dict of this shape with one `%` slot per value, and how to fill it.
 
-    A float or int value fills its own slot; any other value fills a `%s`
-    slot with its text. The keys, which must be str, are written in, `%`
+    A float or int value fills its own slot, so a dict of numbers, such as a
+    sweep cell, is written by one C call; any other value fills a `%s` slot
+    with its text. The keys, which must be str, are written in, `%`
     escaped as `%%`. Returns (template, every value fills its own slot).
     """
     pad = "\n" + "  " * level

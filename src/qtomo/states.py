@@ -1,20 +1,15 @@
-"""Single-qubit state representations and conversions.
+"""Single-qubit states: pure-state angles, Stokes vectors, and the two scores.
 
 A qubit density matrix decomposes over the Pauli basis as
-rho = (1/2) sum_i s_i sigma_i with s0 = 1; the real coefficients
+rho = (1/2) sum_i s_i sigma_i with s0 = tr rho = 1; the real coefficients
 (s1, s2, s3) form the Bloch vector, which sits on the unit sphere for pure
 states and strictly inside the ball for mixed ones. Pure states carry the
 usual polar parameterization |psi> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
-`pure_density` and the unchecked batch reader `_pure_rows` both form
-|psi><psi| through `_pure_densities`, so they agree bit for bit. The batch
-reader returns each Bloch vector as a row of three floats, which the
-tomography core reads out per row in floats. It takes (theta, phi) pairs
-of floats: a `PureQubit` passes
-`(q.theta, q.phi)`, and a CLI sweep passes the angles of its grid as it
-built them, with no `PureQubit` per cell. The reverse map, rho from
-(s0, s1, s2, s3), is formed only by `_stokes_density`: `density_from_stokes`
-calls it after its checks, and the tomography core calls it for a
-reconstruction it has already put in the ball.
+Each map is formed in one place, so every reader of it agrees bit for bit:
+rho of a pure state, the Stokes parameters of rho, rho of its Stokes
+parameters, and the fidelity to a pure target and the trace distance as
+closed forms in Bloch vectors. Public functions check the matrices they are
+given; the tomography core reads states it built or whose angles are checked.
 """
 
 from __future__ import annotations
@@ -103,7 +98,9 @@ def _pure_densities(angles) -> np.ndarray:
 
     Unchecked: each theta must lie in [0, pi] and each phi in [0, 2 pi), as
     `PureQubit` stores them. The products stay in numpy: Python's complex
-    product rounds b * conj(b) differently in the last bit.
+    product rounds b * conj(b) differently in the last bit. numpy's own
+    rounds differently with FMA than without: this is where seeded outputs
+    come to depend on numpy's SIMD level.
     """
     psi = np.array([_amplitudes(theta, phi) for theta, phi in angles], dtype=np.complex128)
     return psi[:, :, None] * psi.conj()[:, None, :]
@@ -135,12 +132,13 @@ def _pauli_stokes(rho: np.ndarray) -> StokesVector:
 
     The imaginary part of tr(sigma_i rho) is tr(sigma_i (rho - rho^dagger))/2i,
     at most the Hermiticity residual that the caller's density check already
-    bounds by DEFAULT_TOL, so only the real part is read: s0 = tr rho here, the
-    Bloch vector by `_entry_stokes`.
+    bounds by DEFAULT_TOL, so only the real part is read: s0 = tr rho here,
+    within DEFAULT_TOL of 1 and so never -0.0, the Bloch vector by
+    `_entry_stokes`.
     """
     (r00, r01), (r10, r11) = rho.tolist()
     bloch = _entry_stokes(r00.real, r01.real, r10.real, r11.real, r01.imag, r10.imag)
-    return StokesVector(r00.real + r11.real + 0.0, *bloch)
+    return StokesVector(r00.real + r11.real, *bloch)
 
 
 def _pure_rows(angles) -> list[list[float]]:
@@ -184,12 +182,14 @@ def _stokes_density(s0: float, s1: float, s2: float, s3: float) -> np.ndarray:
     behind), equal bit for bit to the Pauli sum
     0.5 * (s0 SIGMA0 + s1 SIGMA1 + s2 SIGMA2 + s3 SIGMA3): adding 0.0 turns
     a -0.0 into the +0.0 that sum gives where a sigma's zero entry is added.
+    Every caller's s0 lies within DEFAULT_TOL of 1, so a diagonal entry is
+    never -0.0, and numpy stores a float with imaginary part +0.0.
     """
     rho = np.empty((2, 2), np.complex128)
-    rho[0, 0] = 0.5 * (s0 + s3) + 0j
+    rho[0, 0] = 0.5 * (s0 + s3)
     rho[0, 1] = complex(0.5 * (s1 + 0.0), 0.5 * (0.0 - s2))
     rho[1, 0] = complex(0.5 * (s1 + 0.0), 0.5 * (s2 + 0.0))
-    rho[1, 1] = 0.5 * (s0 - s3) + 0j
+    rho[1, 1] = 0.5 * (s0 - s3)
     return _freeze(rho)
 
 

@@ -1,43 +1,17 @@
-"""The three-step tomography protocol, exact and finite-shot.
+"""The paper's three-step tomography protocol, exact and finite-shot.
 
-Each step pins the two players' strategy parameters so that Alice's payoff
-equals one Stokes parameter of the unknown qubit; running all three steps
-therefore reads the full Bloch vector. Steps are listed in protocol order
-(the first measures s2, the second s1, the third s3) and every step carries
-an explicit label, so nothing downstream depends on position.
+Each step fixes both players' strategies so that Alice's payoff equals one
+Stokes parameter of the unknown qubit: in protocol order the steps read s2,
+s1 and s3, and each carries its label, so nothing depends on position. Her
+payoff depends on the unknown qubit alone, so a step measures it along the
+Bloch axis of Bob's strategy and no 4x4 state is built here; the 4x4 route
+in `game` is the paper's derivation and the tests' oracle.
 
-Step k pays Alice +1 with probability P(+1) = a_k . (1, s1, s2, s3). Her
-payoff reads the unknown qubit alone, so a step measures it along the Bloch
-axis n of Bob's strategy and a_k = (1, n)/2 (`_axis_row`); the rows form the
-3x4 instrument matrix, so no 4x4 state is built (the 4x4 route in `game` is
-the paper's derivation and the tests' oracle). `_readout` reads one Bloch
-vector in floats, three products and three sums per row of `_INSTRUMENT`,
-and alone forms Alice's payoffs 2 P(+1) - 1 and puts them in Bloch order;
-`step_payoffs`, `exact_stokes`, the core and the CLI all read through it.
-A step's m-shot estimate (2k - m)/m needs one draw of the count
-k ~ Binomial(m, P(+1)) of +1 shots.
-All randomness flows from one 64-bit master seed through a splitmix-style
-derivation, so every result is reproducible bit for bit on one numpy build
-and SIMD level (numpy's complex products round differently with FMA).
-
-The sampler, `SAMPLER` = "binomial-count-v3", gives each state one
-generator: state seed s draws its three counts, in protocol order, from
-`Generator(PCG64)` whose four 64-bit seed words are [derive_seed(s, 0),
-derive_seed(s, 1), derive_seed(s, 2), 0], taken as they are. A step's
-reported `seed` is one of its generator's state words, so the three step
-seeds together reproduce the draw.
-
-One core, `_row`, runs the protocol on one state in plain floats, given its
-Bloch vector (three floats), a checked shot count and a checked state seed:
-it derives the step seeds, reads the state out through `_readout`, draws its
-three counts from its one generator and forms the estimate, its radial
-projection into the ball and both scores as closed forms of the counts and
-the truth. Its record, `_Run`, holds plain Python values, read as they are
-by results and reports, and keeps the counts: `_result` builds a run's
-`SampleEstimate`s only when it becomes a result. `run_tomography` and
-`estimate_stokes` call it once; a CLI sweep or trial set maps it over its
-states, whose pure truths `states._pure_rows` reads from their (theta, phi)
-pairs in one array pass, equal bit for bit to reading them one at a time.
+A finite-shot step draws its count of +1 shots from Binomial(m, P(+1)), so
+sampling costs the same at any shot count. An estimate beyond the Bloch ball
+is projected radially onto the sphere. All randomness flows from one 64-bit
+seed through `derive_seed` into the sampler named by `SAMPLER`, so seeded
+results are reproducible bit for bit on one numpy build and SIMD level.
 """
 
 from __future__ import annotations
@@ -321,8 +295,11 @@ def _row(truth_row: list[float], shots: int, seed: int) -> _Run:
 
     The step seeds derive_seed(seed, j) are mixed by the unchecked
     `_splitmix`. The estimate holds the step means in Bloch order. The scores
-    read t back from rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does (s3 as
-    (1 + t3)/2 - (1 - t3)/2), so they equal `fidelity(q, rho_hat)` bit for bit.
+    read t back from rho_hat = (I + t.sigma)/2 as `_pauli_stokes` does, so
+    they equal `fidelity(q, rho_hat)` bit for bit: s3 comes back as
+    (1 + t3)/2 - (1 - t3)/2, while t1 and t2 come back unchanged, as each is
+    0.0 or a step mean (2k - m)/m of size at least 2**-63, perhaps divided by
+    a norm of at most sqrt(3), so halving and doubling it is exact.
     """
     step_seeds = [_splitmix(seed, 0), _splitmix(seed, 1), _splitmix(seed, 2)]
     p, _, exact = _readout(*truth_row)
@@ -331,8 +308,7 @@ def _row(truth_row: list[float], shots: int, seed: int) -> _Run:
     estimate = (_mean(k1, shots), _mean(k2, shots), _mean(k3, shots))
     t, projected = _project(*estimate)
     t1, t2, t3 = t
-    t_hat = (0.5 * (0.0 + t1) - 0.5 * (0.0 - t1), 0.5 * (0.0 + t2) - 0.5 * (0.0 - t2),
-             0.5 * (1.0 + t3) - 0.5 * (1.0 - t3))
+    t_hat = (t1, t2, 0.5 * (1.0 + t3) - 0.5 * (1.0 - t3))
     return _Run(shots, counts, step_seeds, exact, estimate, t, projected,
                 _bloch_fidelity(t_hat, truth_row), _bloch_trace_distance(t_hat, truth_row))
 

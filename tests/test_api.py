@@ -3,11 +3,15 @@
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import qtomo
+import qtomo.cli
+from qtomo import PureQubit, protocol_steps, pure_density, step_payoffs, stokes_of
 
 TESTS = Path(__file__).parent
 
@@ -67,6 +71,44 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def _readme_section(heading: str) -> str:
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index(heading + "\n")
+    end = readme.find("\n## ", start)
+    return readme[start:] if end == -1 else readme[start:end]
+
+
+# The angles the README's step table writes, as the strategies store them.
+README_ANGLES = {"0": 0.0, "π/2": math.pi / 2}
+
+
+def test_readme_step_table_is_the_protocol():
+    # One row per protocol step, in order: its label, both strategies, Alice's
+    # payoff matrix, and the Stokes parameter her exact payoff equals.
+    rows = [line for line in _readme_section("## The protocol").splitlines() if line.startswith("| S")]
+    rho = pure_density(PureQubit(1.1, 0.7))  # s1, s2 and s3 all differ
+    s = stokes_of(rho)
+    assert len(rows) == len(protocol_steps())
+    for row, step, paid in zip(rows, protocol_steps(), step_payoffs(rho)):
+        label, alice, bob, matrix, reads = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        assert label == step.label
+        for cell, strategy in ((alice, step.strategy_a), (bob, step.strategy_b)):
+            assert tuple(README_ANGLES[a.strip()] for a in cell.strip("()").split(",")) == (strategy.beta, strategy.alpha)
+        e00, e01, e10, e11 = step.payoff_a.entries()
+        assert ast.literal_eval(matrix) == [[e00, e01], [e10, e11]]
+        assert abs(paid.alice - getattr(s, reads)) <= 1e-12, row
+
+
+def test_readme_cli_commands_run(capsys):
+    # Each command in the README's CLI section runs and exits 0; together they cover every subcommand.
+    blocks = re.findall(r"```sh\n(.*?)```", _readme_section("## CLI"), re.DOTALL)
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines() if line.startswith("qtomo ")]
+    assert {argv[0] for argv in commands} == set(qtomo.cli._HANDLERS)
+    for argv in commands:
+        assert qtomo.cli.main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
 
 
 def test_src_has_no_assert_statements():

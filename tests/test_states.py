@@ -203,8 +203,15 @@ class TestDensityFromStokes:
 
 
 def _pauli_sum(s0, s1, s2, s3):
-    """rho = (1/2) sum_i s_i sigma_i as the plain Pauli sum: the oracle for the written-out entries."""
-    return 0.5 * (s0 * SIGMA0 + s1 * SIGMA1 + s2 * SIGMA2 + s3 * SIGMA3)
+    """rho = (1/2) sum_i s_i sigma_i as the plain Pauli sum: the oracle for the written-out entries.
+
+    The real and imaginary parts are two float64 Pauli sums: numpy's complex
+    products give other signed zeros with FMA than without, float products do not.
+    """
+    rho = np.empty((2, 2), np.complex128)
+    rho.real = 0.5 * (s0 * SIGMA0.real + s1 * SIGMA1.real + s2 * SIGMA2.real + s3 * SIGMA3.real)
+    rho.imag = 0.5 * (s0 * SIGMA0.imag + s1 * SIGMA1.imag + s2 * SIGMA2.imag + s3 * SIGMA3.imag)
+    return rho
 
 
 # Coordinates whose signs and last bits the entry formulas must keep, all inside the ball together.

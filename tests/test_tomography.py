@@ -33,6 +33,7 @@ from qtomo.states import (
     StokesVector,
     _pauli_stokes,
     _pure_rows,
+    _stokes_density,
     density_from_stokes,
     fidelity,
     pure_density,
@@ -980,6 +981,24 @@ class TestRunTomography:
             assert res.fidelity == fidelity(q, res.rho_hat)
             assert res.trace_dist == trace_distance(pure_density(q), res.rho_hat)
             assert res.stokes_exact == exact_stokes(pure_density(q))
+
+    # The pole, a (1, 1, 1)/sqrt(3) diagonal, a generic state and one near the pole.
+    ENUMERATED_STATES = (PureQubit(0.0, 0.0), PureQubit(math.acos(1.0 / math.sqrt(3.0)), math.pi / 4),
+                         PureQubit(1.1, 0.7), PureQubit(0.05, 0.3))
+
+    def test_scores_equal_the_public_metrics_at_every_small_count(self):
+        # Every count triple at m <= 8, projected or not, through the core with `_draw` mocked.
+        for q in self.ENUMERATED_STATES:
+            truth_row, rho_true = _pure_rows([(q.theta, q.phi)])[0], pure_density(q)
+            for shots in range(1, 9):
+                counts = [list(k) for k in itertools.product(range(shots + 1), repeat=3)]
+                with mock.patch.object(qtomo.tomography, "_draw", side_effect=counts):
+                    runs = [_row(truth_row, shots, 0) for _ in counts]
+                for k, run in zip(counts, runs):
+                    assert run.counts == k
+                    rho_hat = _stokes_density(1.0, *run.bloch_hat)
+                    assert run.fidelity.hex() == fidelity(q, rho_hat).hex(), (q, shots, k)
+                    assert run.trace_distance.hex() == trace_distance(rho_true, rho_hat).hex(), (q, shots, k)
 
     def test_fractional_shots_rejected(self):
         with pytest.raises(TypeError):
